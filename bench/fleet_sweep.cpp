@@ -207,8 +207,8 @@ int main() {
 
         std::string routed_split;
         for (size_t i = 0; i < r.routed_per_library.size(); ++i) {
-          routed_split += (i > 0 ? "/" : "") +
-                          std::to_string(r.routed_per_library[i]);
+          if (i > 0) routed_split += '/';
+          routed_split += std::to_string(r.routed_per_library[i]);
         }
         const char* placement = fleet::PlacementPolicyName(policy);
         std::string label = std::to_string(libraries) + "x" +

@@ -7,7 +7,7 @@
 namespace serpentine::drive {
 
 std::string DriveMetrics::ToJson(const std::string& label) const {
-  char buf[512];
+  char buf[768];
   std::string out = "{";
   std::snprintf(
       buf, sizeof(buf),
@@ -16,7 +16,8 @@ std::string DriveMetrics::ToJson(const std::string& label) const {
       "\"locate_seconds\":%.6f,\"read_seconds\":%.6f,"
       "\"rewind_seconds\":%.6f,\"recovery_seconds\":%.6f,"
       "\"transient_read_errors\":%lld,\"locate_overshoots\":%lld,"
-      "\"drive_resets\":%lld,\"permanent_errors\":%lld",
+      "\"drive_resets\":%lld,\"permanent_errors\":%lld,"
+      "\"breaker_fast_fails\":%lld",
       label.c_str(), static_cast<long long>(locates),
       static_cast<long long>(reads), static_cast<long long>(scans),
       static_cast<long long>(deliveries), static_cast<long long>(rewinds),
@@ -25,7 +26,8 @@ std::string DriveMetrics::ToJson(const std::string& label) const {
       static_cast<long long>(transient_read_errors),
       static_cast<long long>(locate_overshoots),
       static_cast<long long>(drive_resets),
-      static_cast<long long>(permanent_errors));
+      static_cast<long long>(permanent_errors),
+      static_cast<long long>(breaker_fast_fails));
   out += buf;
   out += ",\"locate_latency\":[";
   bool first = true;
@@ -54,6 +56,8 @@ void DriveMetrics::PublishTo(obs::MetricsRegistry& registry,
   registry.counter(prefix + ".locate_overshoots").Increment(locate_overshoots);
   registry.counter(prefix + ".drive_resets").Increment(drive_resets);
   registry.counter(prefix + ".permanent_errors").Increment(permanent_errors);
+  registry.counter(prefix + ".breaker_fast_fails")
+      .Increment(breaker_fast_fails);
   registry.gauge(prefix + ".locate_seconds").Set(locate_seconds);
   registry.gauge(prefix + ".read_seconds").Set(read_seconds);
   registry.gauge(prefix + ".rewind_seconds").Set(rewind_seconds);
@@ -79,6 +83,9 @@ void MeteredDrive::Observe(const OpResult& r) {
       break;
     case OpStatus::kPermanentMediaError:
       ++metrics_.permanent_errors;
+      break;
+    case OpStatus::kCircuitOpen:
+      ++metrics_.breaker_fast_fails;
       break;
   }
 }

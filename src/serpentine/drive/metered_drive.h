@@ -49,6 +49,10 @@ struct DriveMetrics {
     return transient_read_errors + locate_overshoots + drive_resets +
            permanent_errors;
   }
+  /// Ops a HealthDrive circuit breaker refused while open (kCircuitOpen).
+  /// Not a fault: the drive never saw the op. The cooldown each refusal
+  /// charges accumulates in recovery_seconds.
+  int64_t breaker_fast_fails = 0;
 
   int64_t ops() const { return locates + reads + scans + deliveries + rewinds; }
   double busy_seconds() const {

@@ -6,24 +6,12 @@
 #include <string>
 #include <utility>
 
-#include "serpentine/obs/metrics.h"
-#include "serpentine/sim/serving_core.h"
+#include "serpentine/fleet/engine.h"
 #include "serpentine/util/check.h"
-#include "serpentine/util/env.h"
 #include "serpentine/util/lrand48.h"
 #include "serpentine/util/thread_pool.h"
 
 namespace serpentine::fleet {
-namespace {
-
-/// Stream stride decorrelating library l's fault process: library 0 keeps
-/// the single-library stream (fault_stream == serving.seed, the pin),
-/// library l > 0 uses serving.seed + l * stride. Prime, and distinct from
-/// the online extras stream; must never change — pinned tests depend on
-/// the fault draws.
-constexpr int64_t kLibraryFaultStride = 1000033;
-
-}  // namespace
 
 FleetTopology Fleet::Topology() const {
   FleetTopology topology;
@@ -103,147 +91,59 @@ Status ValidateFleetConfig(const Fleet& fleet, const FleetConfig& config) {
 }
 
 StatusOr<FleetResult> RunFleet(const Fleet& fleet, const FleetConfig& config) {
-  SERPENTINE_RETURN_IF_ERROR(ValidateFleetConfig(fleet, config));
   const int libraries = fleet.libraries();
-
-  FleetTopology topology = fleet.Topology();
-  int64_t logical = config.logical_segments;
-  if (logical == 0) {
-    // Default catalog: the smallest library's capacity. A library never
-    // holds more than one replica per logical segment, so no library can
-    // overflow and placement succeeds under every policy — unlike packing
-    // to total/replication, which the distinct-library constraint can make
-    // infeasible when capacities are uneven.
-    logical = topology.library_segments(0);
-    for (int lib = 1; lib < libraries; ++lib) {
-      logical = std::min(logical, topology.library_segments(lib));
-    }
-  }
-  SERPENTINE_ASSIGN_OR_RETURN(
-      Catalog catalog, Catalog::Build(topology, logical, config.placement));
+  SERPENTINE_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
+                              Engine::Create(fleet, config, libraries));
 
   // The fleet-wide arrival stream draws logical segments with the exact
   // generator of RunOnlineServer; with the identity catalog of a
   // 1-library / replication-1 fleet these are already physical segments.
   std::vector<sim::ServingRequest> arrivals =
-      GenerateOnlineArrivals(config.serving, logical);
-
-  std::vector<std::unique_ptr<sim::ServingCore>> cores;
-  cores.reserve(libraries);
-  for (int lib = 0; lib < libraries; ++lib) {
-    int64_t fault_stream =
-        static_cast<int64_t>(config.serving.seed) + kLibraryFaultStride * lib;
-    cores.push_back(std::make_unique<sim::ServingCore>(
-        fleet.models[lib], config.serving, fault_stream,
-        config.mount_exchange_seconds));
-  }
-
-  Router router(&catalog, libraries, config.router);
+      GenerateOnlineArrivals(config.serving, engine->logical_segments());
 
   // First arrival routed to each library, for per-library makespans.
-  constexpr double kNever = std::numeric_limits<double>::infinity();
-  std::vector<double> first_routed(libraries, kNever);
-
-  std::vector<ReplicaScore> scores;
+  std::vector<double> first_routed(libraries,
+                                   std::numeric_limits<double>::infinity());
   for (const sim::ServingRequest& a : arrivals) {
     // Every core may now advance to the arrival instant: no earlier
     // arrival can still be routed anywhere.
-    for (std::unique_ptr<sim::ServingCore>& core : cores) {
-      core->AdvanceInputBound(a.time);
-      while (core->Step() == sim::ServingStep::kRan) {
-      }
-    }
-
-    // Each replica bids: backlog the drive has already committed past the
-    // arrival instant, plus the FIFO chain estimate of (queue + this
-    // read), cartridge exchanges included.
-    const std::vector<ReplicaLocation>& replicas = catalog.replicas(a.segment);
-    scores.resize(replicas.size());
-    for (size_t i = 0; i < replicas.size(); ++i) {
-      const sim::ServingCore& core = *cores[replicas[i].library];
-      scores[i].seconds =
-          std::max(core.clock() - a.time, 0.0) +
-          core.EstimateServiceSeconds(replicas[i].cartridge,
-                                      replicas[i].segment);
-      scores[i].breaker_open = core.breaker_open();
-    }
-
-    RouteDecision decision = router.Route(a.segment, scores);
-    sim::ServingRequest routed = a;
-    routed.segment = decision.location.segment;
-    routed.cartridge = decision.location.cartridge;
-    sim::ServingCore& target = *cores[decision.location.library];
-    target.Push(routed);
-    first_routed[decision.location.library] =
-        std::min(first_routed[decision.location.library], a.time);
-    obs::SetGauge(
-        "fleet.lib" + std::to_string(decision.location.library) + ".depth",
-        static_cast<double>(target.queue_depth()));
+    engine->CrankTo(a.time);
+    int lib = engine->Route(a);
+    first_routed[lib] = std::min(first_routed[lib], a.time);
   }
-  for (std::unique_ptr<sim::ServingCore>& core : cores) {
-    core->FinishInput();
-    while (core->Step() == sim::ServingStep::kRan) {
-    }
-    SERPENTINE_CHECK(core->Step() == sim::ServingStep::kDone);
-    core->FinishResult();
-  }
+  engine->Finish();
 
   // ---- aggregation ----
   FleetResult out;
   out.per_library.resize(libraries);
-  out.routed_per_library = router.dispatches_per_library();
-  out.placed_per_library = catalog.placed_per_library();
-  out.failovers = router.failovers();
+  out.routed_per_library = engine->router().dispatches_per_library();
+  out.placed_per_library = engine->catalog().placed_per_library();
+  out.failovers = engine->router().failovers();
 
+  // Fleet totals: fold the raw tallies, then finalize once with the
+  // single-library expressions (for one library this IS RunOnlineServer's
+  // arithmetic, value for value).
+  out.total = engine->FoldTallies();
   std::vector<double> all_responses;
-  double batch_sum = 0.0;
-  double end_clock = 0.0;
   for (int lib = 0; lib < libraries; ++lib) {
-    sim::ServingCore& core = *cores[lib];
+    sim::ServingCore& core = engine->core(lib);
     const sim::OnlineServerResult& r = core.result();
 
     // Per-library view: the library's own clock span.
-    sim::OnlineServerResult own = r;
+    out.per_library[lib] = r;
     std::vector<double> responses = core.responses();
     FinalizeOnlineServerResult(
-        &own, &responses, core.batch_sum(), core.clock(),
+        &out.per_library[lib], &responses, core.batch_sum(), core.clock(),
         std::isfinite(first_routed[lib]) ? first_routed[lib] : core.clock());
-    out.per_library[lib] = std::move(own);
 
-    // Fleet totals: fold the raw tallies, then finalize once with the
-    // single-library expressions (for one library this IS RunOnlineServer's
-    // arithmetic, value for value).
-    out.total.arrivals += r.arrivals;
-    out.total.admitted += r.admitted;
-    out.total.completed += r.completed;
-    out.total.failed += r.failed;
-    out.total.shed += r.shed;
-    out.total.deadline_missed += r.deadline_missed;
-    out.total.batches += r.batches;
-    out.total.drive_busy_seconds += r.drive_busy_seconds;
-    out.total.fault_retries += r.fault_retries;
-    out.total.drive_resets += r.drive_resets;
-    out.total.reschedules += r.reschedules;
-    out.total.permanent_errors += r.permanent_errors;
-    out.total.recovery_seconds += r.recovery_seconds;
-    out.total.max_wait_cycles_observed = std::max(
-        out.total.max_wait_cycles_observed, r.max_wait_cycles_observed);
-    out.total.degraded_batches += r.degraded_batches;
-    out.total.degradation_max_rung =
-        std::max(out.total.degradation_max_rung, r.degradation_max_rung);
-    out.total.breaker_fast_fails += r.breaker_fast_fails;
-    out.total.breaker_wait_seconds += r.breaker_wait_seconds;
     out.total.breaker_transitions.insert(out.total.breaker_transitions.end(),
                                          r.breaker_transitions.begin(),
                                          r.breaker_transitions.end());
     out.total.shed_records.insert(out.total.shed_records.end(),
                                   r.shed_records.begin(),
                                   r.shed_records.end());
-
     all_responses.insert(all_responses.end(), core.responses().begin(),
                          core.responses().end());
-    batch_sum += core.batch_sum();
-    end_clock = std::max(end_clock, core.clock());
     out.cartridge_mounts += core.cartridge_mounts();
     out.mount_seconds += core.mount_seconds();
   }
@@ -252,7 +152,8 @@ StatusOr<FleetResult> RunFleet(const Fleet& fleet, const FleetConfig& config) {
                       config.serving.total_requests);
   SERPENTINE_CHECK_EQ(out.total.arrivals, config.serving.total_requests);
 
-  FinalizeOnlineServerResult(&out.total, &all_responses, batch_sum, end_clock,
+  FinalizeOnlineServerResult(&out.total, &all_responses, engine->batch_sum(),
+                             engine->end_clock(),
                              arrivals.empty() ? 0.0 : arrivals[0].time);
   return out;
 }
@@ -261,32 +162,19 @@ StatusOr<ReplicatedFleetStats> RunReplicatedFleet(const Fleet& fleet,
                                                   const FleetConfig& config,
                                                   int replications,
                                                   int threads) {
-  if (replications < 1) {
-    return InvalidArgumentError(
-        "RunReplicatedFleet: replications must be >= 1, got " +
-        std::to_string(replications));
-  }
   SERPENTINE_RETURN_IF_ERROR(ValidateFleetConfig(fleet, config));
-  ReplicatedFleetStats stats;
-  stats.results.resize(replications);
-
-  // Replica r's serving seed comes from the derived stream r regardless of
-  // which worker runs it; placement (ingest state) is not re-drawn.
+  // Replica r reseeds only the serving stream; placement (ingest state) is
+  // not re-drawn.
   auto run = [&](int64_t r) {
     FleetConfig replica = config;
-    replica.serving.seed = static_cast<int32_t>(
-        DeriveRand48State(config.serving.seed, r) & 0x7FFFFFFF);
-    StatusOr<FleetResult> result = RunFleet(fleet, replica);
-    SERPENTINE_CHECK(result.ok());  // config validated above
-    stats.results[r] = std::move(result).value();
+    replica.serving.seed = DeriveReplicaSeed(config.serving.seed, r);
+    return RunFleet(fleet, replica);
   };
-  int workers =
-      fleet.SupportsConcurrentUse() ? ResolveThreadCount(threads) : 1;
-  if (workers > 1 && replications > 1) {
-    ParallelFor(&ThreadPool::Shared(), replications, workers, run);
-  } else {
-    for (int64_t r = 0; r < replications; ++r) run(r);
-  }
+  ReplicatedFleetStats stats;
+  SERPENTINE_ASSIGN_OR_RETURN(
+      stats.results,
+      RunReplicas<FleetResult>(replications, threads,
+                               fleet.SupportsConcurrentUse(), run));
 
   // Fold in replication order: thread-count invariant.
   for (const FleetResult& r : stats.results) {

@@ -54,12 +54,12 @@
 #include "serpentine/sim/online_server.h"
 #include "serpentine/sim/perturbed_model.h"
 #include "serpentine/sim/physical_drive.h"
-#include "serpentine/sim/queue_sim.h"
 #include "serpentine/sim/recovering_executor.h"
 #include "serpentine/sim/serving_core.h"
 #include "serpentine/sim/wear.h"
 
 #include "serpentine/fleet/catalog.h"
+#include "serpentine/fleet/engine.h"
 #include "serpentine/fleet/fleet_server.h"
 #include "serpentine/fleet/router.h"
 

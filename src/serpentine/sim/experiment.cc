@@ -19,17 +19,12 @@ namespace {
 int64_t ShardCount(int64_t trials) { return std::min<int64_t>(trials, 256); }
 
 /// Runs `fn(shard)` over [0, shards), in parallel when `can_parallelize`
-/// and more than one worker is available, serially otherwise. Either way
-/// every shard runs exactly once and writes only its own output slot.
+/// (ParallelFor runs inline for one worker). Every shard runs exactly once
+/// and writes only its own output slot.
 void RunShards(int64_t shards, int requested_threads, bool can_parallelize,
                const std::function<void(int64_t)>& fn) {
-  int workers =
-      can_parallelize ? ResolveThreadCount(requested_threads) : 1;
-  if (workers > 1 && shards > 1) {
-    ParallelFor(&ThreadPool::Shared(), shards, workers, fn);
-  } else {
-    for (int64_t s = 0; s < shards; ++s) fn(s);
-  }
+  ParallelFor(&ThreadPool::Shared(), shards,
+              can_parallelize ? ResolveThreadCount(requested_threads) : 1, fn);
 }
 
 }  // namespace

@@ -8,26 +8,49 @@
 #include "serpentine/sched/registry.h"
 #include "serpentine/sim/serving_core.h"
 #include "serpentine/util/check.h"
-#include "serpentine/util/env.h"
 #include "serpentine/util/lrand48.h"
 #include "serpentine/util/thread_pool.h"
 
 namespace serpentine::sim {
 
 Status ValidateOnlineServerConfig(const OnlineServerConfig& config) {
-  // The base knobs share QueueSimConfig's contract; validate through it.
-  QueueSimConfig base;
-  base.arrival_rate_per_hour = config.arrival_rate_per_hour;
-  base.total_requests = config.total_requests;
-  base.algorithm = config.algorithm;
-  base.scheduler_options = config.scheduler_options;
-  base.dispatch_min_batch = config.dispatch_min_batch;
-  base.dispatch_max_wait_seconds = config.dispatch_max_wait_seconds;
-  base.seed = config.seed;
-  base.faults = config.faults;
-  base.fault_retry = config.fault_retry;
-  SERPENTINE_RETURN_IF_ERROR(ValidateQueueSimConfig(base));
-
+  if (!std::isfinite(config.arrival_rate_per_hour) ||
+      config.arrival_rate_per_hour <= 0.0) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: arrival_rate_per_hour must be finite and > 0, "
+        "got " +
+        std::to_string(config.arrival_rate_per_hour));
+  }
+  if (config.total_requests < 1) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: total_requests must be >= 1, got " +
+        std::to_string(config.total_requests));
+  }
+  // The per-request async-span id packs (seed << 32) | arrival index; an
+  // index at or above 2^32 would silently bleed into the seed bits and
+  // alias another run's ids, so reject it here instead.
+  if (config.total_requests >= (int64_t{1} << 32)) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: total_requests must be < 2^32 (async-span ids "
+        "pack the arrival index into 32 bits), got " +
+        std::to_string(config.total_requests));
+  }
+  if (config.dispatch_min_batch < 1) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: dispatch_min_batch must be >= 1, got " +
+        std::to_string(config.dispatch_min_batch));
+  }
+  // Infinity means "no wait bound" and is the default; NaN and non-positive
+  // waits would make the dispatch policy undecidable.
+  if (std::isnan(config.dispatch_max_wait_seconds) ||
+      config.dispatch_max_wait_seconds <= 0.0) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: dispatch_max_wait_seconds must be > 0 (inf = no "
+        "bound), got " +
+        std::to_string(config.dispatch_max_wait_seconds));
+  }
+  SERPENTINE_RETURN_IF_ERROR(drive::ValidateFaultProfile(config.faults));
+  SERPENTINE_RETURN_IF_ERROR(ValidateRetryPolicy(config.fault_retry));
   if (config.dispatch_max_batch < 0) {
     return InvalidArgumentError(
         "OnlineServerConfig: dispatch_max_batch must be >= 0 (0 = "
@@ -106,12 +129,10 @@ StatusOr<OnlineServerResult> RunOnlineServer(const tape::LocateModel& model,
   SERPENTINE_RETURN_IF_ERROR(ValidateOnlineServerConfig(config));
   const tape::TapeGeometry& g = model.geometry();
 
-  // Pre-generate the Poisson arrival stream — the exact draw sequence of
-  // RunQueueSimulation — then crank the extracted serving engine through
-  // it. The engine IS the former loop body of this function; feeding it
-  // one arrival at a time reproduces the historical trajectory bit for
-  // bit (the fleet layer drives the same engine, which is what pins a
-  // 1-library fleet to this function's results).
+  // Pre-generate the Poisson arrival stream, then crank the serving engine
+  // through it one arrival at a time (the fleet layer drives the same
+  // engine, which is what pins a 1-library fleet to this function's
+  // results).
   std::vector<ServingRequest> arrivals =
       GenerateOnlineArrivals(config, g.total_segments());
 
@@ -143,32 +164,17 @@ StatusOr<OnlineServerResult> RunOnlineServer(const tape::LocateModel& model,
 StatusOr<ReplicatedOnlineServerStats> RunReplicatedOnlineServer(
     const tape::LocateModel& model, const OnlineServerConfig& config,
     int replications, int threads) {
-  if (replications < 1) {
-    return InvalidArgumentError(
-        "RunReplicatedOnlineServer: replications must be >= 1, got " +
-        std::to_string(replications));
-  }
   SERPENTINE_RETURN_IF_ERROR(ValidateOnlineServerConfig(config));
-  ReplicatedOnlineServerStats stats;
-  stats.results.resize(replications);
-
-  // Replication r's seed comes from the derived stream r regardless of
-  // which worker runs it; each replication writes only its own slot.
   auto run = [&](int64_t r) {
     OnlineServerConfig replica = config;
-    replica.seed = static_cast<int32_t>(DeriveRand48State(config.seed, r) &
-                                        0x7FFFFFFF);
-    StatusOr<OnlineServerResult> result = RunOnlineServer(model, replica);
-    SERPENTINE_CHECK(result.ok());  // config validated above
-    stats.results[r] = std::move(result).value();
+    replica.seed = DeriveReplicaSeed(config.seed, r);
+    return RunOnlineServer(model, replica);
   };
-  int workers =
-      model.SupportsConcurrentUse() ? ResolveThreadCount(threads) : 1;
-  if (workers > 1 && replications > 1) {
-    ParallelFor(&ThreadPool::Shared(), replications, workers, run);
-  } else {
-    for (int64_t r = 0; r < replications; ++r) run(r);
-  }
+  ReplicatedOnlineServerStats stats;
+  SERPENTINE_ASSIGN_OR_RETURN(
+      stats.results,
+      RunReplicas<OnlineServerResult>(replications, threads,
+                                      model.SupportsConcurrentUse(), run));
 
   // Fold in replication order: thread-count invariant.
   for (const OnlineServerResult& r : stats.results) {

@@ -1,12 +1,14 @@
-// Online serving with overload resilience: the queue simulator hardened
-// into a service. The paper evaluates isolated batches; ROADMAP item 1
-// targets a continuous-arrival service, and a service must survive what a
-// benchmark never sees — arrival rates past saturation, per-request
-// deadlines, and drives that are having a bad week.
+// Online serving with overload resilience. The paper evaluates isolated
+// batches; a served system must also decide *when* to dispatch a batch
+// while requests keep arriving, and survive arrival rates past saturation,
+// per-request deadlines, and drives that are having a bad week.
 //
-// OnlineServer extends sim::RunQueueSimulation with four layers, every one
-// off by default and every one deterministic (virtual clock + seeded
-// rand48 streams, thread-count invariant):
+// RunOnlineServer runs a Poisson arrival stream against one drive: a
+// dispatch policy (minimum batch size and/or maximum wait) turns the
+// pending queue into a batch, the configured algorithm schedules it. On
+// top of that loop sit five layers, every one off by default and every one
+// deterministic (virtual clock + seeded rand48 streams, thread-count
+// invariant):
 //
 //   * priority classes and per-request deadlines, drawn from a rand48
 //     stream *separate* from the arrival stream, so enabling them never
@@ -28,9 +30,8 @@
 //     retry budget.
 //
 // With everything disabled (no deadlines, no admission, no degradation, no
-// breaker, zero faults) the server replays RunQueueSimulation draw for
-// draw and reproduces its results bit-identically — a pinned test holds
-// this equality for any thread count.
+// breaker) the server is the plain dispatch loop; golden-value tests pin
+// its results on fixed configurations, fault-free and faulty.
 #ifndef SERPENTINE_SIM_ONLINE_SERVER_H_
 #define SERPENTINE_SIM_ONLINE_SERVER_H_
 
@@ -42,7 +43,6 @@
 #include "serpentine/drive/health_drive.h"
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/drive/fault_injector.h"
-#include "serpentine/sim/queue_sim.h"
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/util/retry.h"
 #include "serpentine/util/stats.h"
@@ -89,19 +89,35 @@ struct DegradationPolicy {
 };
 
 struct OnlineServerConfig {
-  /// Base queue-simulation knobs; identical semantics to QueueSimConfig.
+  /// Poisson arrival rate (requests per hour). The unscheduled drive
+  /// saturates near 3600 / E[locate] ≈ 44/h; scheduling raises the
+  /// sustainable rate severalfold.
   double arrival_rate_per_hour = 60.0;
+  /// Simulation length in arrivals. Must stay below 2^32: the per-request
+  /// async-span id packs (seed << 32) | arrival index, and the validator
+  /// rejects lengths that would wrap the index field.
   int64_t total_requests = 400;
+  /// Scheduling algorithm per dispatched batch.
   sched::Algorithm algorithm = sched::Algorithm::kLoss;
   sched::SchedulerOptions scheduler_options;
+  /// Dispatch policy: start service when the drive is idle AND (pending >=
+  /// dispatch_min_batch OR the oldest pending request has waited
+  /// dispatch_max_wait_seconds).
   int dispatch_min_batch = 1;
   double dispatch_max_wait_seconds = std::numeric_limits<double>::infinity();
+  /// Seed for arrivals and request positions.
   int32_t seed = 1;
+  /// Drive/media fault process for batch execution. All-zero (the default)
+  /// keeps the exact fault-free execution path; any nonzero rate routes
+  /// batches through the RecoveringExecutor. The fault stream is seeded
+  /// from (faults.seed, seed), so replications decorrelate while staying
+  /// deterministic for any thread count.
   drive::FaultProfile faults;
+  /// Retry/backoff policy used by the recovering executor under faults.
   RetryPolicy fault_retry;
 
   /// Cap on requests dispatched per batch; the rest stay queued (and age).
-  /// 0 = dispatch all pending, the queue-sim behavior. Over-aged requests
+  /// 0 = dispatch all pending. Over-aged requests
   /// (see max_wait_cycles) are always included even past this cap.
   int dispatch_max_batch = 0;
 
@@ -121,9 +137,9 @@ struct OnlineServerConfig {
   DegradationPolicy degradation;
 
   /// Aging/starvation bound: no admitted request waits more than this many
-  /// dispatch cycles before boarding a batch. 0 = unbounded (queue-sim
-  /// behavior; also the only meaningful setting when dispatch_max_batch is
-  /// 0, since uncapped batches take everything anyway).
+  /// dispatch cycles before boarding a batch. 0 = unbounded (also the only
+  /// meaningful setting when dispatch_max_batch is 0, since uncapped
+  /// batches take everything anyway).
   int max_wait_cycles = 0;
 
   /// Arms a drive::HealthDrive over the execution stack.
@@ -164,7 +180,7 @@ struct OnlineServerResult {
   double max_response_seconds = 0.0;
   double throughput_per_hour = 0.0;
 
-  /// Fault accounting (as QueueSimResult).
+  /// Fault accounting (all zero when OnlineServerConfig::faults is zero).
   int64_t fault_retries = 0;
   int64_t drive_resets = 0;
   int64_t reschedules = 0;
@@ -189,9 +205,11 @@ struct OnlineServerResult {
   std::vector<ShedRecord> shed_records;
 };
 
-/// Rejects NaN/negative/inconsistent configurations (including unknown
-/// degradation-rung names and invalid nested fault/retry/breaker policies)
-/// with a descriptive status.
+/// Rejects NaN/negative/inconsistent configurations with a descriptive
+/// status: positive finite arrival rate, 1 <= total_requests < 2^32,
+/// dispatch_min_batch >= 1, dispatch_max_wait_seconds > 0 (inf allowed,
+/// NaN not), the online extensions' bounds, unknown degradation-rung
+/// names, and invalid nested fault/retry/breaker policies.
 Status ValidateOnlineServerConfig(const OnlineServerConfig& config);
 
 /// Runs the online server to completion (every arrival answered or shed).
@@ -199,9 +217,11 @@ Status ValidateOnlineServerConfig(const OnlineServerConfig& config);
 StatusOr<OnlineServerResult> RunOnlineServer(const tape::LocateModel& model,
                                              const OnlineServerConfig& config);
 
-/// Independent replications, thread-count invariant (same derivation as
-/// RunReplicatedQueueSimulation: replica r reseeds from
-/// DeriveRand48State(config.seed, r), results fold in replica order).
+/// Independent replications of one configuration, for confidence bands.
+/// Replica r reseeds from DeriveReplicaSeed(config.seed, r) regardless of
+/// which worker runs it; replicas fan out over up to `threads` workers (0 =
+/// SERPENTINE_THREADS or all hardware threads) and fold in replica order,
+/// so the statistics are bit-identical for any thread count.
 struct ReplicatedOnlineServerStats {
   std::vector<OnlineServerResult> results;
   Accumulator mean_response_seconds;

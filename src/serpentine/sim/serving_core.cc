@@ -31,9 +31,10 @@ std::vector<ServingRequest> GenerateOnlineArrivals(
   const bool deadlines_enabled = std::isfinite(config.deadline_seconds);
   const bool priorities_enabled = config.priority_classes > 1;
 
-  // The exact draw sequence of RunQueueSimulation. Priorities and deadline
-  // multipliers come from a *separate* derived stream, consumed only when
-  // those features are on, so the arrival times and segments never shift.
+  // Per arrival: an exponential gap, then a uniform segment. Priorities and
+  // deadline multipliers come from a *separate* derived stream, consumed
+  // only when those features are on, so the arrival times and segments
+  // never shift.
   Lrand48 rng(config.seed);
   Lrand48 extras_rng;
   extras_rng.SeedState(DeriveRand48State(config.seed, kOnlineExtrasStream));
@@ -115,8 +116,7 @@ ServingCore::ServingCore(std::vector<const tape::LocateModel*> models,
   // One Model→Fault stack per cartridge; with the breaker armed a single
   // HealthDrive (the breaker guards the shared physical drive) is
   // repointed at the mounted cartridge's stack on every switch. With one
-  // cartridge and the breaker disarmed this is exactly RunQueueSimulation's
-  // FaultDrive(ModelDrive).
+  // cartridge and the breaker disarmed the stack is FaultDrive(ModelDrive).
   base_drives_.reserve(models_.size());
   fault_drives_.reserve(models_.size());
   for (const tape::LocateModel* m : models_) {
@@ -296,7 +296,9 @@ ServingStep ServingCore::Step() {
   if (!stream_done_ && clock_ >= input_bound_) return ServingStep::kNeedInput;
 
   // Dispatch-policy deadline of the oldest pending request, computed once
-  // (see RunQueueSimulation for the ULP rationale).
+  // so the policy test and the idle target agree bit for bit (comparing a
+  // recomputed `clock - front` against max_wait can disagree with
+  // `front + max_wait` by one ULP and spin forever).
   double dispatch_deadline = std::numeric_limits<double>::infinity();
   if (!pending_.empty() && std::isfinite(config_.dispatch_max_wait_seconds)) {
     dispatch_deadline =
@@ -522,7 +524,7 @@ void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
   // remaining cooldown, so the retry is the admitted half-open probe. Used
   // by the fault-free execution paths (the recovering executor handles
   // kCircuitOpen itself); with the breaker disarmed this is a straight
-  // pass-through and the arithmetic matches RunQueueSimulation exactly.
+  // pass-through that adds nothing to the arithmetic.
   auto through_breaker = [&](auto issue) {
     drive::OpResult op = issue();
     if (op.status == drive::OpStatus::kCircuitOpen) {
@@ -535,10 +537,10 @@ void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
     return op;
   };
 
-  // Completion matching by segment, as in RunQueueSimulation, with
-  // deadline-miss accounting layered on. Duplicates resolve to the oldest
-  // unmatched member — the per-segment FIFO picks exactly the request the
-  // old linear first-undone scan did, without the O(batch²) cost.
+  // Completion matching by segment, with deadline-miss accounting layered
+  // on. Duplicates resolve to the oldest unmatched member — the
+  // per-segment FIFO picks exactly the request the old linear first-undone
+  // scan did, without the O(batch²) cost.
   std::unordered_map<tape::SegmentId, std::deque<size_t>> waiting;
   for (size_t i = 0; i < members.size(); ++i) {
     waiting[members[i].segment].push_back(i);

@@ -62,9 +62,9 @@ enum class ServingStep {
   kDone,
 };
 
-/// Generates the Poisson arrival stream of RunOnlineServer — the exact
-/// draw sequence of RunQueueSimulation (arrival gap, then a uniform
-/// segment over `segment_space`), with priorities and deadline multipliers
+/// Generates the Poisson arrival stream of RunOnlineServer (per arrival:
+/// an exponential gap, then a uniform segment over `segment_space`), with
+/// priorities and deadline multipliers
 /// from the separate online-extras stream so enabling them never shifts
 /// arrival times. The fleet passes its logical segment space; the
 /// single-library server passes the tape's total_segments, reproducing its

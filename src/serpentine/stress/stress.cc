@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
-#include "serpentine/fleet/catalog.h"
-#include "serpentine/fleet/router.h"
-#include "serpentine/sim/serving_core.h"
+#include "serpentine/fleet/engine.h"
+#include "serpentine/store/segment_cache.h"
 #include "serpentine/util/check.h"
-#include "serpentine/util/env.h"
 #include "serpentine/util/lrand48.h"
 #include "serpentine/util/thread_pool.h"
 #include "serpentine/workload/arrival_process.h"
@@ -26,40 +22,6 @@ namespace {
 /// change — the stress determinism tests pin the draws.
 constexpr int64_t kTenantStream = 1000081;
 constexpr int64_t kSegmentStream = 1000099;
-
-/// LRU set of logical segments.
-class SegmentCache {
- public:
-  explicit SegmentCache(int64_t capacity) : capacity_(capacity) {}
-
-  bool Touch(int64_t segment) {
-    if (capacity_ <= 0) return false;
-    auto it = index_.find(segment);
-    if (it == index_.end()) return false;
-    order_.splice(order_.begin(), order_, it->second);
-    return true;
-  }
-
-  void Insert(int64_t segment) {
-    if (capacity_ <= 0) return;
-    auto it = index_.find(segment);
-    if (it != index_.end()) {
-      order_.splice(order_.begin(), order_, it->second);
-      return;
-    }
-    order_.push_front(segment);
-    index_[segment] = order_.begin();
-    if (static_cast<int64_t>(order_.size()) > capacity_) {
-      index_.erase(order_.back());
-      order_.pop_back();
-    }
-  }
-
- private:
-  int64_t capacity_;
-  std::list<int64_t> order_;
-  std::unordered_map<int64_t, std::list<int64_t>::iterator> index_;
-};
 
 struct Waiter {
   int tenant = 0;
@@ -84,6 +46,21 @@ double JainIndex(const std::vector<TenantStats>& tenants) {
   }
   if (sum_sq <= 0.0) return 1.0;
   return (sum * sum) / (static_cast<double>(tenants.size()) * sum_sq);
+}
+
+/// The engine's view of a stress config: the serving knobs with the stress
+/// arrival knobs patched in (inert, as arrivals are pushed, but they keep
+/// the validated config self-consistent) and the fleet knobs as given.
+fleet::FleetConfig EngineConfig(const StressConfig& config) {
+  fleet::FleetConfig engine;
+  engine.serving = config.serving;
+  engine.serving.arrival_rate_per_hour = config.arrival_rate_per_hour;
+  engine.serving.total_requests = config.total_requests;
+  engine.serving.seed = config.seed;
+  engine.placement = config.placement;
+  engine.router = config.router;
+  engine.mount_exchange_seconds = config.mount_exchange_seconds;
+  return engine;
 }
 
 }  // namespace
@@ -112,13 +89,10 @@ Status ValidateStressConfig(const StressConfig& config) {
         std::to_string(config.libraries));
   }
   // The serving config is validated with the stress arrival knobs patched
-  // in, so total_requests inherits QueueSimConfig's [1, 2^32) id-packing
+  // in, so total_requests inherits the online server's [1, 2^32) id-packing
   // bound.
-  sim::OnlineServerConfig serving = config.serving;
-  serving.arrival_rate_per_hour = config.arrival_rate_per_hour;
-  serving.total_requests = config.total_requests;
-  serving.seed = config.seed;
-  SERPENTINE_RETURN_IF_ERROR(sim::ValidateOnlineServerConfig(serving));
+  SERPENTINE_RETURN_IF_ERROR(
+      sim::ValidateOnlineServerConfig(EngineConfig(config).serving));
   SERPENTINE_RETURN_IF_ERROR(fleet::ValidateRouterOptions(config.router));
   return OkStatus();
 }
@@ -127,56 +101,12 @@ StatusOr<StressResult> RunStress(
     const std::vector<std::vector<const tape::LocateModel*>>& models,
     const StressConfig& config) {
   SERPENTINE_RETURN_IF_ERROR(ValidateStressConfig(config));
-  if (static_cast<int>(models.size()) != config.libraries) {
-    return InvalidArgumentError(
-        "RunStress: config names " + std::to_string(config.libraries) +
-        " libraries but " + std::to_string(models.size()) +
-        " model vectors were passed");
-  }
   fleet::Fleet fl;
   fl.models = models;
-  for (int lib = 0; lib < fl.libraries(); ++lib) {
-    if (fl.models[lib].empty()) {
-      return InvalidArgumentError("RunStress: library " +
-                                  std::to_string(lib) + " has no cartridges");
-    }
-    for (const tape::LocateModel* m : fl.models[lib]) {
-      if (m == nullptr) {
-        return InvalidArgumentError("RunStress: library " +
-                                    std::to_string(lib) +
-                                    " holds a null model");
-      }
-    }
-  }
-
-  // Catalog over the fleet topology, logical space = the smallest
-  // library's capacity (the RunFleet default — placement always succeeds).
-  fleet::FleetTopology topology = fl.Topology();
-  int64_t logical = topology.library_segments(0);
-  for (int lib = 1; lib < fl.libraries(); ++lib) {
-    logical = std::min(logical, topology.library_segments(lib));
-  }
   SERPENTINE_ASSIGN_OR_RETURN(
-      fleet::Catalog catalog,
-      fleet::Catalog::Build(topology, logical, config.placement));
-
-  // The serving engines. The patched arrival knobs are inert (arrivals are
-  // pushed below) but keep the stored config self-consistent.
-  sim::OnlineServerConfig serving = config.serving;
-  serving.arrival_rate_per_hour = config.arrival_rate_per_hour;
-  serving.total_requests = config.total_requests;
-  serving.seed = config.seed;
-
-  constexpr int64_t kLibraryFaultStride = 1000033;  // fleet_server.cc's
-  std::vector<std::unique_ptr<sim::ServingCore>> cores;
-  cores.reserve(fl.libraries());
-  for (int lib = 0; lib < fl.libraries(); ++lib) {
-    cores.push_back(std::make_unique<sim::ServingCore>(
-        fl.models[lib], serving,
-        static_cast<int64_t>(serving.seed) + kLibraryFaultStride * lib,
-        config.mount_exchange_seconds));
-  }
-  fleet::Router router(&catalog, fl.libraries(), config.router);
+      std::unique_ptr<fleet::Engine> engine,
+      fleet::Engine::Create(fl, EngineConfig(config), config.libraries));
+  const int64_t logical = engine->logical_segments();
 
   // Decorrelated request-mix streams.
   SERPENTINE_ASSIGN_OR_RETURN(
@@ -203,7 +133,8 @@ StatusOr<StressResult> RunStress(
     weight_sum += out.tenants[i].weight;
   }
 
-  SegmentCache cache(config.cache_capacity);
+  // LRU over logical segments (cartridge 0 stands for the whole fleet).
+  store::SegmentCache cache(static_cast<size_t>(config.cache_capacity));
   // Coalescing state: logical segment → waiters riding the in-flight
   // primary. Only populated when coalescing is on (at most one in-flight
   // primary per segment then).
@@ -215,44 +146,42 @@ StatusOr<StressResult> RunStress(
     out.tenants[tenant].response.Add(latency);
   };
 
-  // Per-core completion hook: credit the primary's tenant, fill the
-  // cache, release coalesced waiters.
-  for (std::unique_ptr<sim::ServingCore>& core : cores) {
-    core->set_completion_callback([&](const sim::ServingRequest& req,
+  // Completion hook: credit the primary's tenant, fill the cache, release
+  // coalesced waiters.
+  engine->set_completion_callback([&](const sim::ServingRequest& req,
                                       double at, bool ok) {
-      auto it = pushed.find(req.id);
-      SERPENTINE_CHECK(it != pushed.end());
-      PushedMeta meta = it->second;
-      pushed.erase(it);
-      TenantStats& t = out.tenants[meta.tenant];
-      if (ok) {
-        ++t.completed;
-        cache.Insert(meta.logical);
-      } else {
-        ++t.failed;
+    auto it = pushed.find(req.id);
+    SERPENTINE_CHECK(it != pushed.end());
+    PushedMeta meta = it->second;
+    pushed.erase(it);
+    TenantStats& t = out.tenants[meta.tenant];
+    if (ok) {
+      ++t.completed;
+      cache.Insert(store::CacheKey{0, meta.logical});
+    } else {
+      ++t.failed;
+    }
+    answer(meta.tenant, at - req.time);
+    auto fit = inflight.find(meta.logical);
+    if (fit != inflight.end()) {
+      for (const Waiter& w : fit->second) {
+        ++out.coalesced;
+        ++out.tenants[w.tenant].coalesced;
+        answer(w.tenant, at - w.time);
       }
-      answer(meta.tenant, at - req.time);
-      auto fit = inflight.find(meta.logical);
-      if (fit != inflight.end()) {
-        for (const Waiter& w : fit->second) {
-          ++out.coalesced;
-          ++out.tenants[w.tenant].coalesced;
-          answer(w.tenant, at - w.time);
-        }
-        inflight.erase(fit);
-      }
-    });
-  }
+      inflight.erase(fit);
+    }
+  });
 
   // Shed draining: the engine records sheds in result().shed_records but
   // fires no callback; consume the growth after every crank so waiters on
   // a shed primary are released (as sheds) promptly.
-  std::vector<size_t> shed_seen(cores.size(), 0);
+  std::vector<size_t> shed_seen(engine->libraries(), 0);
   int64_t shed_waiters = 0;
   auto drain_sheds = [&] {
-    for (size_t c = 0; c < cores.size(); ++c) {
+    for (int c = 0; c < engine->libraries(); ++c) {
       const std::vector<sim::ShedRecord>& records =
-          cores[c]->result().shed_records;
+          engine->core(c).result().shed_records;
       for (; shed_seen[c] < records.size(); ++shed_seen[c]) {
         auto it = pushed.find(records[shed_seen[c]].id);
         SERPENTINE_CHECK(it != pushed.end());
@@ -271,18 +200,8 @@ StatusOr<StressResult> RunStress(
     }
   };
 
-  auto crank_to = [&](double t) {
-    for (std::unique_ptr<sim::ServingCore>& core : cores) {
-      core->AdvanceInputBound(t);
-      while (core->Step() == sim::ServingStep::kRan) {
-      }
-    }
-    drain_sheds();
-  };
-
   double first_arrival = 0.0;
   double last_arrival = 0.0;
-  std::vector<fleet::ReplicaScore> scores;
   for (int64_t i = 0; i < config.total_requests; ++i) {
     double t = process->NextSeconds();
     if (i == 0) first_arrival = t;
@@ -309,9 +228,10 @@ StatusOr<StressResult> RunStress(
     // Let every core serve up to the arrival instant before the request
     // looks at cache/in-flight state — the trajectory is then a pure
     // function of the config, independent of any host-side interleaving.
-    crank_to(t);
+    engine->CrankTo(t);
+    drain_sheds();
 
-    if (cache.Touch(segment)) {
+    if (cache.Lookup(store::CacheKey{0, segment})) {
       ++out.cache_hits;
       ++out.tenants[tenant].cache_hits;
       answer(tenant, 0.0);
@@ -325,76 +245,25 @@ StatusOr<StressResult> RunStress(
       }
     }
 
-    // Primary read: score the replicas and push to the chosen core.
+    // Primary read: the engine routes it to a replica's core.
     sim::ServingRequest req;
     req.time = t;
+    req.segment = segment;
     req.id = (static_cast<int64_t>(config.seed) << 32) | i;
-    const std::vector<fleet::ReplicaLocation>& replicas =
-        catalog.replicas(segment);
-    scores.resize(replicas.size());
-    for (size_t r = 0; r < replicas.size(); ++r) {
-      const sim::ServingCore& core = *cores[replicas[r].library];
-      // With one replica the bid is decided; skip the O(queue-depth)
-      // estimate that would dominate saturated million-request runs.
-      scores[r].seconds =
-          replicas.size() == 1
-              ? 0.0
-              : std::max(core.clock() - t, 0.0) +
-                    core.EstimateServiceSeconds(replicas[r].cartridge,
-                                                replicas[r].segment);
-      scores[r].breaker_open = core.breaker_open();
-    }
-    fleet::RouteDecision decision = router.Route(segment, scores);
-    req.segment = decision.location.segment;
-    req.cartridge = decision.location.cartridge;
-    cores[decision.location.library]->Push(req);
+    engine->Route(req);
     pushed[req.id] = PushedMeta{tenant, segment};
     if (config.coalesce_duplicates) inflight[segment];  // open the entry
     ++out.dispatched;
   }
 
-  for (std::unique_ptr<sim::ServingCore>& core : cores) {
-    core->FinishInput();
-    while (core->Step() == sim::ServingStep::kRan) {
-    }
-    SERPENTINE_CHECK(core->Step() == sim::ServingStep::kDone);
-    core->FinishResult();
-  }
+  engine->Finish();
   drain_sheds();
   SERPENTINE_CHECK(pushed.empty());
   SERPENTINE_CHECK(inflight.empty());
 
   // ---- aggregation ----
-  double end_clock = 0.0;
-  double batch_sum = 0.0;
-  for (std::unique_ptr<sim::ServingCore>& core : cores) {
-    const sim::OnlineServerResult& r = core->result();
-    out.engine.arrivals += r.arrivals;
-    out.engine.admitted += r.admitted;
-    out.engine.completed += r.completed;
-    out.engine.failed += r.failed;
-    out.engine.shed += r.shed;
-    out.engine.deadline_missed += r.deadline_missed;
-    out.engine.batches += r.batches;
-    out.engine.drive_busy_seconds += r.drive_busy_seconds;
-    out.engine.fault_retries += r.fault_retries;
-    out.engine.drive_resets += r.drive_resets;
-    out.engine.reschedules += r.reschedules;
-    out.engine.permanent_errors += r.permanent_errors;
-    out.engine.recovery_seconds += r.recovery_seconds;
-    out.engine.max_wait_cycles_observed = std::max(
-        out.engine.max_wait_cycles_observed, r.max_wait_cycles_observed);
-    out.engine.degraded_batches += r.degraded_batches;
-    out.engine.degradation_max_rung =
-        std::max(out.engine.degradation_max_rung, r.degradation_max_rung);
-    out.engine.breaker_fast_fails += r.breaker_fast_fails;
-    out.engine.breaker_wait_seconds += r.breaker_wait_seconds;
-    batch_sum += core->batch_sum();
-    end_clock = std::max(end_clock, core->clock());
-  }
-  if (out.engine.batches > 0) {
-    out.engine.mean_batch_size = batch_sum / out.engine.batches;
-  }
+  out.engine = engine->FoldTallies();
+  const double end_clock = engine->end_clock();
 
   out.completed = out.engine.completed;
   out.failed = out.engine.failed;
@@ -435,37 +304,21 @@ StatusOr<StressResult> RunStress(
 StatusOr<ReplicatedStressStats> RunReplicatedStress(
     const std::vector<std::vector<const tape::LocateModel*>>& models,
     const StressConfig& config, int replications, int threads) {
-  if (replications < 1) {
-    return InvalidArgumentError(
-        "RunReplicatedStress: replications must be >= 1, got " +
-        std::to_string(replications));
-  }
   SERPENTINE_RETURN_IF_ERROR(ValidateStressConfig(config));
-  ReplicatedStressStats stats;
-  stats.results.resize(replications);
-
-  // Replica r's seed comes from the derived stream r regardless of which
-  // worker runs it; each replica writes only its own slot.
+  fleet::Fleet fl;
+  fl.models = models;
+  SERPENTINE_RETURN_IF_ERROR(
+      fleet::Engine::Validate(fl, EngineConfig(config), config.libraries));
   auto run = [&](int64_t r) {
     StressConfig replica = config;
-    replica.seed = static_cast<int32_t>(DeriveRand48State(config.seed, r) &
-                                        0x7FFFFFFF);
-    StatusOr<StressResult> result = RunStress(models, replica);
-    SERPENTINE_CHECK(result.ok());  // config validated above
-    stats.results[r] = std::move(result).value();
+    replica.seed = DeriveReplicaSeed(config.seed, r);
+    return RunStress(models, replica);
   };
-  bool concurrent = true;
-  for (const std::vector<const tape::LocateModel*>& lib : models) {
-    for (const tape::LocateModel* m : lib) {
-      if (m == nullptr || !m->SupportsConcurrentUse()) concurrent = false;
-    }
-  }
-  int workers = concurrent ? ResolveThreadCount(threads) : 1;
-  if (workers > 1 && replications > 1) {
-    ParallelFor(&ThreadPool::Shared(), replications, workers, run);
-  } else {
-    for (int64_t r = 0; r < replications; ++r) run(r);
-  }
+  ReplicatedStressStats stats;
+  SERPENTINE_ASSIGN_OR_RETURN(
+      stats.results,
+      RunReplicas<StressResult>(replications, threads,
+                                fl.SupportsConcurrentUse(), run));
 
   // Fold in replica order: thread-count invariant.
   for (const StressResult& r : stats.results) {

@@ -1,8 +1,8 @@
 // Million-request stress harness: an open-loop, multi-tenant request
 // stream (workload::ArrivalProcess) driven incrementally through the
-// serving engine — one sim::ServingCore for a single library, or a
-// catalog-routed fleet of cores — with two service-layer effects the sim
-// configs don't model:
+// fleet serving engine (fleet::Engine: catalog, one sim::ServingCore per
+// library, router; the same engine fleet::RunFleet drives) — with two
+// service-layer effects the sim configs don't model:
 //
 //   * a segment cache (LRU over logical segments): a request whose segment
 //     is cached is answered at arrival, latency 0, never dispatched;
@@ -21,7 +21,7 @@
 // are the pinned deterministic engine; and the harness cranks every core
 // to each arrival instant before admitting it, so the whole run is a pure
 // function of the config. RunReplicatedStress is thread-count invariant
-// by the repo-wide recipe (replica r reseeds from DeriveRand48State(seed,
+// by the repo-wide recipe (replica r reseeds from DeriveReplicaSeed(seed,
 // r); results fold in replica order).
 //
 // Latencies are recorded into obs::Histogram (p50/p95/p99/p99.9 within
@@ -130,7 +130,7 @@ struct StressResult {
   /// by weight: 1 = perfectly proportional, 1/n = one tenant starved.
   double fairness_jain = 1.0;
 
-  /// Aggregated engine tallies (fleet-style fold across cores).
+  /// Aggregated engine tallies (fleet::Engine::FoldTallies).
   sim::OnlineServerResult engine;
 };
 

@@ -77,6 +77,13 @@ inline uint64_t DeriveRand48State(int32_t seed, int64_t index) {
   return z & ((uint64_t{1} << 48) - 1);
 }
 
+/// The 31-bit run seed of replication `index` of a run seeded `seed`: the
+/// low bits of DeriveRand48State(seed, index). Every RunReplicated* driver
+/// reseeds replica r with DeriveReplicaSeed(seed, r).
+inline int32_t DeriveReplicaSeed(int32_t seed, int64_t index) {
+  return static_cast<int32_t>(DeriveRand48State(seed, index) & 0x7FFFFFFF);
+}
+
 /// Splits one seed into a stream of decorrelated child seeds, for
 /// experiments that need independent generators per trial.
 class SeedSequence {

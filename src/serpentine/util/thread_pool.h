@@ -10,8 +10,14 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include "serpentine/util/env.h"
+#include "serpentine/util/statusor.h"
 
 namespace serpentine {
 
@@ -57,6 +63,32 @@ class ThreadPool {
 /// exception is rethrown on the calling thread after all shards complete.
 void ParallelFor(ThreadPool* pool, int64_t shards, int max_workers,
                  const std::function<void(int64_t)>& fn);
+
+/// The replication fan-out of every RunReplicated* driver: runs `run(r)`,
+/// which returns StatusOr<Result>, for each replica r in [0,
+/// replications) over up to ResolveThreadCount(threads) shared-pool
+/// workers (one when `concurrent` is false), and returns the results in
+/// replica order — or the first failure in replica order, so the outcome
+/// never depends on which worker finished first.
+template <typename Result, typename Run>
+StatusOr<std::vector<Result>> RunReplicas(int replications, int threads,
+                                          bool concurrent, const Run& run) {
+  if (replications < 1) {
+    return InvalidArgumentError("replications must be >= 1, got " +
+                                std::to_string(replications));
+  }
+  std::vector<std::optional<StatusOr<Result>>> slots(replications);
+  ParallelFor(&ThreadPool::Shared(), replications,
+              concurrent ? ResolveThreadCount(threads) : 1,
+              [&](int64_t r) { slots[r].emplace(run(r)); });
+  std::vector<Result> results;
+  results.reserve(replications);
+  for (std::optional<StatusOr<Result>>& slot : slots) {
+    if (!slot->ok()) return slot->status();
+    results.push_back(std::move(*slot).value());
+  }
+  return results;
+}
 
 }  // namespace serpentine
 

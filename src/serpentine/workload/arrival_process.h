@@ -1,4 +1,4 @@
-// Open-loop arrival processes for the stress harness. The queue simulator
+// Open-loop arrival processes for the stress harness. The online server
 // bakes a Poisson stream into its own rand48 draws; the stress layer needs
 // richer temporal shapes — diurnal load swings and bursty on/off sources —
 // emitted *incrementally*, so a million-request run never materializes a

@@ -8,7 +8,9 @@
 
 #include "serpentine/drive/fault_drive.h"
 #include "serpentine/drive/fault_injector.h"
+#include "serpentine/drive/metered_drive.h"
 #include "serpentine/drive/model_drive.h"
+#include "serpentine/obs/metrics.h"
 #include "serpentine/tape/locate_model.h"
 
 namespace serpentine::drive {
@@ -156,6 +158,33 @@ TEST_F(HealthDriveTest, FailedProbeReopens) {
   EXPECT_FALSE(health.ReadSegments(2, 2).ok());  // probe: real attempt
   EXPECT_EQ(health.breaker().state(), BreakerState::kOpen);
   EXPECT_EQ(health.breaker().opens(), 2);
+}
+
+TEST_F(HealthDriveTest, MeterCountsBreakerRefusals) {
+  // Metered(Health(Scripted)): the meter sees what the breaker returns, so
+  // its refusals must show up as breaker fast-fails, not vanish.
+  HealthDrive health(&scripted_, TightPolicy());
+  MeteredDrive metered(&health);
+  scripted_.script = {OpStatus::kTransientReadError,
+                      OpStatus::kTransientReadError};  // trips
+  EXPECT_FALSE(metered.ReadSegments(0, 0).ok());
+  EXPECT_FALSE(metered.ReadSegments(1, 1).ok());
+  ASSERT_EQ(health.breaker().state(), BreakerState::kOpen);
+  EXPECT_EQ(metered.Locate(7).status, OpStatus::kCircuitOpen);
+
+  const DriveMetrics& m = metered.metrics();
+  EXPECT_EQ(m.breaker_fast_fails, 1);
+  EXPECT_EQ(m.breaker_fast_fails, health.breaker().fast_fails());
+  EXPECT_EQ(m.transient_read_errors, 2);
+  EXPECT_EQ(m.faults(), 2);  // a refusal is not a drive fault
+  // Two 1 s failures plus the refusal's fail_fast + cooldown.
+  EXPECT_DOUBLE_EQ(m.recovery_seconds, 2.0 + 50.25);
+  EXPECT_NE(m.ToJson("tripped").find("\"breaker_fast_fails\":1"),
+            std::string::npos);
+
+  obs::MetricsRegistry registry;
+  m.PublishTo(registry, "drive");
+  EXPECT_EQ(registry.counter("drive.breaker_fast_fails").value(), 1);
 }
 
 TEST_F(HealthDriveTest, RewindIsNeverGated) {

@@ -522,6 +522,12 @@ TEST_F(FleetServerTest, ValidateRejectsGarbage) {
 
   EXPECT_EQ(RunReplicatedFleet(uniform.fleet(), ok, 0).status().code(),
             StatusCode::kInvalidArgument);
+  // An unplaceable catalog fails every replica; the replicated driver
+  // returns that Status instead of aborting.
+  EXPECT_EQ(RunReplicatedFleet(uniform.fleet(), bad, 3, /*threads=*/2)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -22,7 +22,7 @@
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/sim/executor.h"
 #include "serpentine/sim/experiment.h"
-#include "serpentine/sim/queue_sim.h"
+#include "serpentine/sim/online_server.h"
 #include "serpentine/sim/recovering_executor.h"
 #include "serpentine/util/lrand48.h"
 
@@ -301,10 +301,12 @@ TEST(TraceRecorderTest, MergesPerThreadBuffersDeterministically) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&recorder, t] {
+      std::string name = "t";
+      name += std::to_string(t);
       for (int i = 0; i < kEvents; ++i) {
         double at = static_cast<double>(i);
-        recorder.CompleteEvent(TraceClock::kVirtual, "mt",
-                               "t" + std::to_string(t), at, at + 0.5);
+        recorder.CompleteEvent(TraceClock::kVirtual, "mt", name, at,
+                               at + 0.5);
       }
     });
   }
@@ -568,7 +570,7 @@ TEST(DisabledPathTest, RecoveringExecutorUnchangedByObservation) {
 
 TEST(ThreadInvarianceTest, ReplicatedQueueSimPublishesSameTotals) {
   Dlt4000LocateModel model = MakeModel();
-  sim::QueueSimConfig config;
+  sim::OnlineServerConfig config;
   config.arrival_rate_per_hour = 120.0;
   config.total_requests = 40;
   config.dispatch_min_batch = 4;
@@ -577,8 +579,9 @@ TEST(ThreadInvarianceTest, ReplicatedQueueSimPublishesSameTotals) {
   auto totals = [&](int threads) {
     MetricsRegistry registry;
     MetricsRegistry::SetActive(&registry);
-    sim::RunReplicatedQueueSimulation(model, config, /*replications=*/6,
-                                      threads);
+    EXPECT_TRUE(sim::RunReplicatedOnlineServer(model, config,
+                                               /*replications=*/6, threads)
+                    .ok());
     MetricsRegistry::SetActive(nullptr);
     return registry.Snapshot();
   };
@@ -605,7 +608,11 @@ TEST(ThreadInvarianceTest, ReplicatedQueueSimPublishesSameTotals) {
     }
   }
   // 6 replications x 40 arrivals each.
-  EXPECT_EQ(one.counters[0].second, 240);
+  auto arrivals = std::find_if(
+      one.counters.begin(), one.counters.end(),
+      [](const auto& c) { return c.first == "online.arrivals"; });
+  ASSERT_NE(arrivals, one.counters.end());
+  EXPECT_EQ(arrivals->second, 240);
 }
 
 }  // namespace

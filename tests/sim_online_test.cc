@@ -4,9 +4,6 @@
 
 #include <cmath>
 #include <limits>
-
-#include "serpentine/sim/queue_sim.h"
-
 namespace serpentine::sim {
 
 // The fault subsystem lives in drive/ since PR 3; pull the names these
@@ -26,47 +23,53 @@ class OnlineServerTest : public ::testing::Test {
       : model_(tape::TapeGeometry::Generate(tape::Dlt4000TapeParams(), 1),
                tape::Dlt4000Timings()) {}
 
-  static QueueSimConfig AsQueueConfig(const OnlineServerConfig& config) {
-    QueueSimConfig base;
-    base.arrival_rate_per_hour = config.arrival_rate_per_hour;
-    base.total_requests = config.total_requests;
-    base.algorithm = config.algorithm;
-    base.scheduler_options = config.scheduler_options;
-    base.dispatch_min_batch = config.dispatch_min_batch;
-    base.dispatch_max_wait_seconds = config.dispatch_max_wait_seconds;
-    base.seed = config.seed;
-    base.faults = config.faults;
-    base.fault_retry = config.fault_retry;
-    return base;
-  }
+  /// The base queueing loop's outputs on one configuration, recorded from
+  /// the standalone queue simulator this server replaced (doubles printed
+  /// with %.17g, so each converts back to the same bits). That simulator
+  /// counted answered-with-error requests inside `answered`; the online
+  /// server splits them into completed and failed.
+  struct Golden {
+    int64_t answered;
+    int64_t failed;
+    int64_t batches;
+    double mean_batch_size;
+    double makespan_seconds;
+    double drive_busy_seconds;
+    double utilization;
+    double mean_response_seconds;
+    double p95_response_seconds;
+    double max_response_seconds;
+    double throughput_per_hour;
+    int64_t fault_retries;
+    int64_t drive_resets;
+    int64_t reschedules;
+    int64_t permanent_errors;
+    double recovery_seconds;
+  };
 
   /// Asserts the pinned bit-identity: with every online extension off, the
-  /// server reproduces RunQueueSimulation exactly — same completions, same
-  /// stats, to the last bit.
-  void ExpectBitIdentical(const OnlineServerConfig& config) {
-    QueueSimResult qs = RunQueueSimulation(model_, AsQueueConfig(config));
+  /// server reproduces the golden values exactly, to the last bit.
+  void ExpectGolden(const OnlineServerConfig& config, const Golden& g) {
     StatusOr<OnlineServerResult> online = RunOnlineServer(model_, config);
     ASSERT_TRUE(online.ok()) << online.status().ToString();
     const OnlineServerResult& r = *online;
     EXPECT_EQ(r.shed, 0);
-    // The queue sim counts answered-with-error requests inside completed;
-    // the online server splits them out.
-    EXPECT_EQ(r.completed + r.failed, qs.completed);
-    EXPECT_EQ(r.failed, qs.failed);
-    EXPECT_EQ(r.batches, qs.batches);
-    EXPECT_EQ(r.mean_batch_size, qs.mean_batch_size);
-    EXPECT_EQ(r.makespan_seconds, qs.makespan_seconds);
-    EXPECT_EQ(r.drive_busy_seconds, qs.drive_busy_seconds);
-    EXPECT_EQ(r.utilization, qs.utilization);
-    EXPECT_EQ(r.mean_response_seconds, qs.mean_response_seconds);
-    EXPECT_EQ(r.p95_response_seconds, qs.p95_response_seconds);
-    EXPECT_EQ(r.max_response_seconds, qs.max_response_seconds);
-    EXPECT_EQ(r.throughput_per_hour, qs.throughput_per_hour);
-    EXPECT_EQ(r.fault_retries, qs.fault_retries);
-    EXPECT_EQ(r.drive_resets, qs.drive_resets);
-    EXPECT_EQ(r.reschedules, qs.reschedules);
-    EXPECT_EQ(r.permanent_errors, qs.permanent_errors);
-    EXPECT_EQ(r.recovery_seconds, qs.recovery_seconds);
+    EXPECT_EQ(r.completed + r.failed, g.answered);
+    EXPECT_EQ(r.failed, g.failed);
+    EXPECT_EQ(r.batches, g.batches);
+    EXPECT_EQ(r.mean_batch_size, g.mean_batch_size);
+    EXPECT_EQ(r.makespan_seconds, g.makespan_seconds);
+    EXPECT_EQ(r.drive_busy_seconds, g.drive_busy_seconds);
+    EXPECT_EQ(r.utilization, g.utilization);
+    EXPECT_EQ(r.mean_response_seconds, g.mean_response_seconds);
+    EXPECT_EQ(r.p95_response_seconds, g.p95_response_seconds);
+    EXPECT_EQ(r.max_response_seconds, g.max_response_seconds);
+    EXPECT_EQ(r.throughput_per_hour, g.throughput_per_hour);
+    EXPECT_EQ(r.fault_retries, g.fault_retries);
+    EXPECT_EQ(r.drive_resets, g.drive_resets);
+    EXPECT_EQ(r.reschedules, g.reschedules);
+    EXPECT_EQ(r.permanent_errors, g.permanent_errors);
+    EXPECT_EQ(r.recovery_seconds, g.recovery_seconds);
     EXPECT_EQ(r.breaker_fast_fails, 0);
     EXPECT_TRUE(r.breaker_transitions.empty());
   }
@@ -78,7 +81,11 @@ TEST_F(OnlineServerTest, BitIdenticalToQueueSimDefaults) {
   OnlineServerConfig config;
   config.total_requests = 150;
   config.arrival_rate_per_hour = 60.0;
-  ExpectBitIdentical(config);
+  ExpectGolden(config,
+               {150, 0, 42, 3.5714285714285716, 9710.1853834605554,
+                9452.3041245290042, 0.97344218995336562, 315.589138399148,
+                574.8835443480657, 666.22068395383394, 55.611708600310223, 0,
+                0, 0, 0, 0.0});
 }
 
 TEST_F(OnlineServerTest, BitIdenticalToQueueSimAcrossPoliciesAndSeeds) {
@@ -87,28 +94,43 @@ TEST_F(OnlineServerTest, BitIdenticalToQueueSimAcrossPoliciesAndSeeds) {
   config.arrival_rate_per_hour = 90.0;
   config.algorithm = sched::Algorithm::kFifo;
   config.seed = 77;
-  ExpectBitIdentical(config);
+  ExpectGolden(config,
+               {100, 0, 9, 11.111111111111111, 8502.7831575804012,
+                8492.0125596684211, 0.99873328559456698, 2479.7928526955989,
+                4333.5462361828586, 4552.018560213568, 42.339078079281933, 0,
+                0, 0, 0, 0.0});
 
   config.algorithm = sched::Algorithm::kSltf;
   config.dispatch_min_batch = 6;
   config.dispatch_max_wait_seconds = 400.0;
   config.seed = 9;
-  ExpectBitIdentical(config);
+  ExpectGolden(config,
+               {100, 0, 7, 14.285714285714286, 5262.0200336608423,
+                5082.2252891946619, 0.96583161156437192, 763.06495373222106,
+                1436.9882554250344, 1922.8604195260141, 68.414790840228761, 0,
+                0, 0, 0, 0.0});
 }
 
 TEST_F(OnlineServerTest, BitIdenticalToQueueSimUnderFaults) {
   // The fault path must replay draw for draw too (injector seeded from the
-  // same (faults.seed, seed) pair, recovering executor identical).
+  // (faults.seed, seed) pair, recovering executor unchanged).
   OnlineServerConfig config;
   config.total_requests = 80;
   config.arrival_rate_per_hour = 70.0;
   config.faults = FaultProfile::Light();
   config.seed = 5;
-  ExpectBitIdentical(config);
+  ExpectGolden(config,
+               {80, 0, 20, 4.0, 4869.7224289370615, 4838.916116610364,
+                0.99367390795343102, 414.52282093608136, 931.63674088169137,
+                1168.8709735848124, 59.14094780610796, 0, 0, 0, 0, 0.0});
 
   config.faults = FaultProfile::Heavy();
   config.seed = 21;
-  ExpectBitIdentical(config);
+  ExpectGolden(config,
+               {80, 0, 10, 8.0, 4422.2915278917362, 4422.2915278917353,
+                0.99999999999999978, 494.38429076373313, 928.54491321139062,
+                1092.3297594344422, 65.124607498976857, 10, 0, 0, 0,
+                337.76820069555174});
 }
 
 TEST_F(OnlineServerTest, ReplicatedIsThreadCountInvariant) {

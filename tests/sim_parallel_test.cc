@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "serpentine/sim/experiment.h"
+#include "serpentine/sim/online_server.h"
 #include "serpentine/sim/physical_drive.h"
-#include "serpentine/sim/queue_sim.h"
 #include "serpentine/tape/locate_model.h"
 
 namespace serpentine::sim {
@@ -119,51 +119,63 @@ TEST_F(SimParallelTest, ModelsWithoutConcurrentUseFallBackToSerial) {
 }
 
 TEST_F(SimParallelTest, ReplicatedQueueSimBitIdenticalAcrossThreadCounts) {
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.arrival_rate_per_hour = 240.0;
   config.total_requests = 60;
   config.algorithm = sched::Algorithm::kLoss;
   config.dispatch_min_batch = 8;
   config.seed = 9;
 
-  ReplicatedQueueSimStats serial =
-      RunReplicatedQueueSimulation(model_, config, 6, /*threads=*/1);
-  for (int threads : {2, 8}) {
-    ReplicatedQueueSimStats parallel =
-        RunReplicatedQueueSimulation(model_, config, 6, threads);
-    SCOPED_TRACE(threads);
-    ASSERT_EQ(parallel.results.size(), serial.results.size());
-    for (size_t r = 0; r < serial.results.size(); ++r) {
-      EXPECT_EQ(parallel.results[r].mean_response_seconds,
-                serial.results[r].mean_response_seconds);
-      EXPECT_EQ(parallel.results[r].throughput_per_hour,
-                serial.results[r].throughput_per_hour);
-      EXPECT_EQ(parallel.results[r].batches, serial.results[r].batches);
+  // Per-replication p95s folded in replication order, as the replicated
+  // stats fold their own accumulators.
+  auto p95 = [](const ReplicatedOnlineServerStats& stats) {
+    Accumulator acc;
+    for (const OnlineServerResult& r : stats.results) {
+      acc.Add(r.p95_response_seconds);
     }
-    EXPECT_EQ(parallel.mean_response_seconds.mean(),
-              serial.mean_response_seconds.mean());
-    EXPECT_EQ(parallel.mean_response_seconds.stddev(),
-              serial.mean_response_seconds.stddev());
-    EXPECT_EQ(parallel.throughput_per_hour.mean(),
-              serial.throughput_per_hour.mean());
-    EXPECT_EQ(parallel.utilization.mean(), serial.utilization.mean());
-    EXPECT_EQ(parallel.p95_response_seconds.mean(),
-              serial.p95_response_seconds.mean());
+    return acc;
+  };
+
+  StatusOr<ReplicatedOnlineServerStats> serial =
+      RunReplicatedOnlineServer(model_, config, 6, /*threads=*/1);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  for (int threads : {2, 8}) {
+    StatusOr<ReplicatedOnlineServerStats> parallel =
+        RunReplicatedOnlineServer(model_, config, 6, threads);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    SCOPED_TRACE(threads);
+    ASSERT_EQ(parallel->results.size(), serial->results.size());
+    for (size_t r = 0; r < serial->results.size(); ++r) {
+      EXPECT_EQ(parallel->results[r].mean_response_seconds,
+                serial->results[r].mean_response_seconds);
+      EXPECT_EQ(parallel->results[r].throughput_per_hour,
+                serial->results[r].throughput_per_hour);
+      EXPECT_EQ(parallel->results[r].batches, serial->results[r].batches);
+    }
+    EXPECT_EQ(parallel->mean_response_seconds.mean(),
+              serial->mean_response_seconds.mean());
+    EXPECT_EQ(parallel->mean_response_seconds.stddev(),
+              serial->mean_response_seconds.stddev());
+    EXPECT_EQ(parallel->throughput_per_hour.mean(),
+              serial->throughput_per_hour.mean());
+    EXPECT_EQ(parallel->utilization.mean(), serial->utilization.mean());
+    EXPECT_EQ(p95(*parallel).mean(), p95(*serial).mean());
   }
 }
 
 TEST_F(SimParallelTest, ReplicationsAreDecorrelated) {
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.arrival_rate_per_hour = 240.0;
   config.total_requests = 40;
   config.dispatch_min_batch = 4;
   config.seed = 2;
-  ReplicatedQueueSimStats stats =
-      RunReplicatedQueueSimulation(model_, config, 4);
-  ASSERT_EQ(stats.results.size(), 4u);
+  StatusOr<ReplicatedOnlineServerStats> stats =
+      RunReplicatedOnlineServer(model_, config, 4);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->results.size(), 4u);
   // Different derived seeds: replications should not all coincide.
-  EXPECT_GT(stats.mean_response_seconds.stddev(), 0.0);
-  EXPECT_EQ(stats.mean_response_seconds.count(), 4);
+  EXPECT_GT(stats->mean_response_seconds.stddev(), 0.0);
+  EXPECT_EQ(stats->mean_response_seconds.count(), 4);
 }
 
 }  // namespace

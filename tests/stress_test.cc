@@ -209,7 +209,7 @@ TEST(StressTest, ValidationRejectsGarbage) {
   config.libraries = 0;
   EXPECT_FALSE(ValidateStressConfig(config).ok());
 
-  // The id-packing bound flows through from QueueSimConfig: 2^32 arrivals
+  // The id-packing bound flows through from the online server: 2^32 arrivals
   // would wrap the 32-bit index field of (seed << 32) | index.
   config = BaseConfig();
   config.total_requests = int64_t{1} << 32;
@@ -223,6 +223,27 @@ TEST(StressTest, ModelArityMustMatchLibraries) {
   StressConfig config = BaseConfig();
   config.libraries = 2;
   EXPECT_FALSE(RunStress(OneLibrary(model), config).ok());
+}
+
+TEST(StressTest, FleetShapeAndKnobsAreValidatedByTheEngine) {
+  tape::HelicalLocateModel model = TinyModel();
+  StressConfig config = BaseConfig();
+  config.libraries = 2;
+  std::vector<std::vector<const tape::LocateModel*>> holed = {{&model}, {}};
+  EXPECT_EQ(RunStress(holed, config).status().code(),
+            StatusCode::kInvalidArgument);
+  std::vector<std::vector<const tape::LocateModel*>> null_model = {
+      {&model}, {nullptr}};
+  EXPECT_EQ(RunStress(null_model, config).status().code(),
+            StatusCode::kInvalidArgument);
+  // Replicated runs reject the shape up front instead of aborting.
+  EXPECT_EQ(RunReplicatedStress(null_model, config, 2).status().code(),
+            StatusCode::kInvalidArgument);
+
+  config = BaseConfig();
+  config.mount_exchange_seconds = -1.0;
+  EXPECT_EQ(RunStress(OneLibrary(model), config).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -79,8 +79,11 @@ fi
 echo "== docs lint: OK =="
 
 for config in $CONFIGS; do
+  # The plain pass builds warning-free or fails: -Werror rides in on the
+  # command line, so the top-level CMakeLists.txt defaults stay untouched.
+  cxx_flags=""
   case "$config" in
-    plain)   sanitize="" ;;
+    plain)   sanitize="" ; cxx_flags="-Werror" ;;
     address) sanitize="address" ;;
     thread)  sanitize="thread" ;;
     *)
@@ -93,7 +96,7 @@ for config in $CONFIGS; do
   build_dir="build-ci-$config"
   echo "== $config: configure ($build_dir) =="
   cmake -B "$build_dir" -S . -DSERPENTINE_SANITIZE="$sanitize" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS="$cxx_flags"
   echo "== $config: build =="
   cmake --build "$build_dir" -j "$JOBS"
   echo "== $config: test =="
