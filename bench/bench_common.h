@@ -62,21 +62,23 @@ class TimingRecorder {
   TimingRecorder(const TimingRecorder&) = delete;
   TimingRecorder& operator=(const TimingRecorder&) = delete;
 
-  /// Records one point's wall-clock time.
-  void Record(const char* label, int n, int64_t trials,
-              double wall_seconds) {
-    if (out_ != nullptr) Write(label, n, trials, wall_seconds);
+  /// Records one point's wall-clock time. `extra` holds further JSON
+  /// members, each with a leading comma (e.g. ",\"estimate_s\":1.5").
+  void Record(const char* label, int n, int64_t trials, double wall_seconds,
+              const std::string& extra = "") {
+    if (out_ != nullptr) Write(label, n, trials, wall_seconds, extra);
   }
 
  private:
-  void Write(const char* label, int n, int64_t trials,
-             double wall_seconds) {
+  void Write(const char* label, int n, int64_t trials, double wall_seconds,
+             const std::string& extra = "") {
     std::fprintf(out_,
                  "{\"figure\":\"%s\",\"label\":\"%s\",\"n\":%d,"
                  "\"trials\":%lld,\"wall_seconds\":%.6f,\"threads\":%d,"
-                 "\"scale\":\"%s\"}\n",
+                 "\"scale\":\"%s\"%s}\n",
                  figure_, label, n, static_cast<long long>(trials),
-                 wall_seconds, ResolveThreadCount(0), ScaleName());
+                 wall_seconds, ResolveThreadCount(0), ScaleName(),
+                 extra.c_str());
   }
 
   const char* figure_;

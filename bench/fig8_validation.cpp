@@ -40,8 +40,9 @@ int main() {
       if (!schedule.ok()) return 1;
       double estimate = sched::EstimateScheduleSeconds(model, *schedule);
       drive.ResetNoise(1000 + 31 * n + trial);
+      // The drive executes the steps the scheduler's model plans.
       double measured =
-          sim::ExecuteSchedule(drive, *schedule).total_seconds;
+          sim::ExecuteSchedule(drive, *schedule, {}, &model).total_seconds;
       row.push_back(Table::Num(sim::PercentError(estimate, measured), 2));
     }
     table.AddRow(row);

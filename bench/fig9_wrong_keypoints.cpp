@@ -45,8 +45,9 @@ int main() {
       if (!schedule.ok()) return 1;
       double estimate = sched::EstimateScheduleSeconds(model_b, *schedule);
       drive_a.ResetNoise(2000 + 31 * n + trial);
+      // The drive executes the steps the scheduler's (wrong) model plans.
       double measured =
-          sim::ExecuteSchedule(drive_a, *schedule).total_seconds;
+          sim::ExecuteSchedule(drive_a, *schedule, {}, &model_b).total_seconds;
       double err = sim::PercentError(estimate, measured);
       abs_err.Add(std::abs(err));
       row.push_back(Table::Num(err, 2));

@@ -15,11 +15,15 @@
 //
 // Machine-readable records append to SERPENTINE_BENCH_JSON (figure
 // "sched_scale"; run_benches.sh points it at BENCH_sched_cpu.json):
-// per-algorithm build times at each N, the two Or-opt times, and an
-// "oropt-speedup-x" record whose wall_seconds field is the
+// per-algorithm build times at each N, each with the schedule's
+// estimate_s and its read_bound_ratio (estimate over the READ bound from
+// the batch's head: locate to BOT, read the tape, rewind), the two Or-opt
+// times, and an "oropt-speedup-x" record whose wall_seconds field is the
 // sweep/incremental ratio. Exits nonzero on any scheduling failure,
-// non-finite estimate, dropped request, or sweep/incremental divergence —
-// which is what lets ci.sh use a 10k run as its perf smoke.
+// non-finite estimate, dropped request, build above the READ bound,
+// loss-mt-oropt estimate above sort's, or sweep/incremental divergence —
+// which is what lets ci.sh use a 10k run as its perf and schedule-quality
+// gate.
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -84,14 +88,19 @@ int main(int argc, char** argv) {
       {"loss-mt", 1 << 30},    {"loss-mt-oropt", 1 << 30},
   };
 
+  // First schedule-quality violation; reported after the table prints.
+  std::string violation;
   Table table;
-  table.SetHeader({"N", "algorithm", "build_s", "estimate_s"});
+  table.SetHeader(
+      {"N", "algorithm", "build_s", "estimate_s", "read_bound_ratio"});
   for (int n : {1000, 3000, 10000, 30000, 100000}) {
     if (n > max_n) continue;
     Lrand48 rng(42 + n);
     tape::SegmentId initial = rng.NextBounded(total);
     std::vector<sched::Request> batch =
         sim::GenerateUniformRequests(rng, n, total);
+    const double read_bound = sched::ReadBoundSeconds(model, initial);
+    double sort_estimate = 0.0;
     for (const Algo& algo : algos) {
       if (n > algo.cap) continue;
       const sched::RegistryEntry* entry = registry.Find(algo.name);
@@ -109,12 +118,28 @@ int main(int argc, char** argv) {
       if (!std::isfinite(estimate) || estimate < 0.0) {
         return Fail("non-finite schedule estimate", algo.name);
       }
-      recorder.Record(algo.name, n, 1, wall);
+      const double ratio = estimate / read_bound;
+      char extra[96];
+      std::snprintf(extra, sizeof(extra),
+                    ",\"estimate_s\":%.3f,\"read_bound_ratio\":%.6f",
+                    estimate, ratio);
+      recorder.Record(algo.name, n, 1, wall, extra);
       table.AddRow({Table::Int(n), algo.name, Table::Num(wall, 3),
-                    Table::Num(estimate, 1)});
+                    Table::Num(estimate, 1), Table::Num(ratio, 4)});
+      const std::string where =
+          std::string(algo.name) + " at N=" + std::to_string(n);
+      if (ratio > 1.0 && violation.empty()) {
+        violation = "schedule exceeds the READ bound: " + where;
+      }
+      if (std::strcmp(algo.name, "sort") == 0) sort_estimate = estimate;
+      if (std::strcmp(algo.name, "loss-mt-oropt") == 0 &&
+          estimate > sort_estimate && violation.empty()) {
+        violation = "estimate above sort's: " + where;
+      }
     }
   }
   table.Print();
+  if (!violation.empty()) return Fail("schedule quality gate", violation);
 
   if (oropt_n > 0) {
     // Same schedule, both Or-opt implementations: the incremental search

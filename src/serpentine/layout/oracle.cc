@@ -35,9 +35,14 @@ double LinearSeekOracle::PredictSortedTourSeconds(int64_t n) const {
   SERPENTINE_CHECK_GT(n, 0);
   const double t = static_cast<double>(total_segments);
   const double nn = static_cast<double>(n);
-  return nn * overhead_seconds +
-         seconds_per_segment * (t * nn / (nn + 1.0) - (nn - 1.0)) +
-         nn * transfer_seconds_per_segment;
+  const double gap = (t * nn / (nn + 1.0) - (nn - 1.0)) / nn;
+  const double x = transfer_seconds_per_segment;
+  const double s = seconds_per_segment;
+  if (x <= s) return nn * (overhead_seconds + s * gap + x);  // never streams
+  const double crossover = overhead_seconds / (x - s);
+  const double beyond =
+      t / (nn + 1.0) * std::pow(1.0 - crossover / t, nn + 1.0);
+  return nn * (x * gap - (x - s) * beyond) + nn * x;
 }
 
 double PredictForwardPasses(int64_t n) {

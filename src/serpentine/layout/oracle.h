@@ -43,10 +43,18 @@ struct LinearSeekOracle {
   ///   E = n*overhead + s*(T/2 + (n-1)*T/3) + n*transfer
   double PredictFifoTourSeconds(int64_t n) const;
 
-  /// SORT (ascending service): the distance telescopes to the maximum of
-  /// n uniforms, T*n/(n+1), minus the n-1 single-segment head advances
-  /// the reads already cover.
-  ///   E = n*overhead + s*(T*n/(n+1) - (n-1)) + n*transfer
+  /// SORT (ascending service): the gaps telescope to the maximum of n
+  /// uniforms, T*n/(n+1), minus the n-1 single-segment head advances the
+  /// reads already cover, so the mean gap is
+  ///   g = (T*n/(n+1) - (n-1)) / n.
+  /// The step planner streams a gap of G segments when reading it costs
+  /// less than locating over it (x*G < a + s*G, x = transfer, a =
+  /// overhead), i.e. below G* = a/(x - s), so each step costs
+  /// min(a + s*G, x*G) = x*G - (x - s)*(G - G*)⁺. A spacing of n sorted
+  /// uniforms exceeds d with probability (1 - d/T)^n, which gives
+  /// E[(G - G*)⁺] = T/(n+1) * (1 - G*/T)^(n+1), and
+  ///   E = n*(x*g - (x - s)*T/(n+1)*(1 - G*/T)^(n+1)) + n*transfer,
+  /// which tends to n*overhead + s*n*g + n*transfer for sparse batches.
   double PredictSortedTourSeconds(int64_t n) const;
 };
 

@@ -14,16 +14,16 @@ std::vector<CoalescedGroup> CoalesceRequests(std::vector<Request> requests,
             [](const Request& a, const Request& b) {
               return a.segment < b.segment;
             });
-  groups.push_back(CoalescedGroup{{requests.front()}});
+  groups.emplace_back(requests.front());
   for (size_t i = 1; i < requests.size(); ++i) {
     // The paper coalesces on the gap between sorted *request* positions;
-    // with multi-segment requests we measure from the predecessor's last
-    // transferred segment.
+    // with multi-segment requests we measure from the furthest segment
+    // the group already transfers.
     int64_t gap = requests[i].segment - groups.back().last();
-    if (gap < threshold) {
-      groups.back().members.push_back(requests[i]);
+    if (threshold > 0 && gap < threshold) {
+      groups.back().Add(requests[i]);
     } else {
-      groups.push_back(CoalescedGroup{{requests[i]}});
+      groups.emplace_back(requests[i]);
     }
   }
   return groups;

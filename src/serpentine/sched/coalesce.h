@@ -6,6 +6,7 @@
 #ifndef SERPENTINE_SCHED_COALESCE_H_
 #define SERPENTINE_SCHED_COALESCE_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "serpentine/sched/request.h"
@@ -20,20 +21,34 @@ inline constexpr int64_t kDefaultCoalesceThreshold = 1410;
 /// A coalesced group: requests in ascending segment order that are serviced
 /// consecutively as one unit.
 struct CoalescedGroup {
-  /// Members in ascending segment order.
+  explicit CoalescedGroup(const Request& first)
+      : members{first}, last_segment(first.last()) {}
+
+  /// Members in ascending order of first segment.
   std::vector<Request> members;
+  /// The furthest last() of any member: members are ordered by first
+  /// segment only, so an early long request can reach past later ones.
+  tape::SegmentId last_segment = 0;
+
+  /// Appends a member (at or after the current ones' first segments).
+  void Add(const Request& r) {
+    members.push_back(r);
+    last_segment = std::max(last_segment, r.last());
+  }
 
   /// Head position required to begin servicing the group.
   tape::SegmentId in() const { return members.front().segment; }
   /// Last segment read while servicing the group.
-  tape::SegmentId last() const { return members.back().last(); }
+  tape::SegmentId last() const { return last_segment; }
 };
 
 /// Coalesces `requests` (any order; sorted internally): walking the sorted
 /// list, a request whose gap to its predecessor is below `threshold`
 /// segments joins the predecessor's group, otherwise it opens a new group.
-/// Groups are returned in ascending order of their first segment.
-/// A threshold of 0 puts every request in its own group.
+/// Groups are returned in ascending order of their first segment. The gap
+/// is measured from the furthest segment the group reads, so overlapping
+/// requests have negative gaps. A threshold of 0 puts every request in its
+/// own group, overlapping or not.
 std::vector<CoalescedGroup> CoalesceRequests(std::vector<Request> requests,
                                              int64_t threshold);
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "serpentine/util/check.h"
+#include "serpentine/sched/step_planner.h"
 
 namespace serpentine::sched {
 
@@ -14,25 +14,38 @@ tape::SegmentId OutPosition(const tape::TapeGeometry& geometry,
 
 double EstimateScheduleSeconds(const tape::LocateModel& model,
                                const Schedule& schedule,
-                               const EstimateOptions& options) {
-  const tape::TapeGeometry& g = model.geometry();
-
+                               const EstimateOptions& options,
+                               tape::SegmentId* final_position) {
   if (schedule.full_tape_scan) {
-    tape::SegmentId last = g.total_segments() - 1;
-    return model.ReadSeconds(0, last) + model.RewindSeconds(last);
+    if (final_position != nullptr) *final_position = 0;
+    return model.FullReadAndRewindSeconds();
+  }
+  if (schedule.order.empty()) {
+    if (final_position != nullptr) *final_position = schedule.initial_position;
+    return 0.0;
   }
 
-  double total = 0.0;
-  tape::SegmentId position = schedule.initial_position;
+  StepPlanner planner(model, schedule.initial_position, options.include_reads);
+  double locate_seconds = 0.0;
+  double read_seconds = 0.0;
   for (const Request& r : schedule.order) {
-    SERPENTINE_CHECK_GE(r.segment, 0);
-    SERPENTINE_CHECK_LE(r.last(), g.total_segments() - 1);
-    total += model.LocateSeconds(position, r.segment);
-    if (options.include_reads) total += model.ReadSeconds(r.segment, r.last());
-    position = OutPosition(g, r);
+    Step step = planner.Next(r);
+    locate_seconds += step.locate_seconds;
+    read_seconds += step.read_seconds;
   }
-  if (options.rewind_at_end) total += model.RewindSeconds(position);
-  return total;
+  double rewind_seconds = 0.0;
+  tape::SegmentId position = planner.head();
+  if (options.rewind_at_end) {
+    rewind_seconds = model.RewindSeconds(position);
+    position = 0;
+  }
+  if (final_position != nullptr) *final_position = position;
+  return locate_seconds + read_seconds + rewind_seconds;
+}
+
+double ReadBoundSeconds(const tape::LocateModel& model,
+                        tape::SegmentId initial) {
+  return model.LocateSeconds(initial, 0) + model.FullReadAndRewindSeconds();
 }
 
 }  // namespace serpentine::sched

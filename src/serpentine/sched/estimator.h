@@ -26,10 +26,21 @@ tape::SegmentId OutPosition(const tape::TapeGeometry& geometry,
                             const Request& r);
 
 /// Predicted wall-clock seconds to execute `schedule` on a drive whose
-/// timing follows `model`.
+/// timing follows `model`: the StepPlanner's walk of the order, summed the
+/// way sim::ExecuteSchedule sums it (locate, read, rewind), so the two
+/// agree bit for bit on a ModelDrive. An empty schedule costs nothing.
+/// When `final_position` is set it receives the head position the walk
+/// ends at (BOT after a rewind or a full-tape scan).
 double EstimateScheduleSeconds(const tape::LocateModel& model,
                                const Schedule& schedule,
-                               const EstimateOptions& options = {});
+                               const EstimateOptions& options = {},
+                               tape::SegmentId* final_position = nullptr);
+
+/// The READ bound from `initial`: locate to BOT, read the whole tape,
+/// rewind (paper §8: "for more than 1536 requests just read the entire
+/// tape"). Every registry-built schedule's estimate stays at or below it.
+double ReadBoundSeconds(const tape::LocateModel& model,
+                        tape::SegmentId initial);
 
 }  // namespace serpentine::sched
 

@@ -43,6 +43,13 @@ class BatchEdgeCosts {
     }
   }
 
+  /// The model to price whole walks with: the batch cache when there is
+  /// one, so a walk re-reads the pairs the search already planned.
+  const tape::LocateModel& Pricing(const tape::LocateModel& model) const {
+    if (cached_.has_value()) return *cached_;
+    return model;
+  }
+
   /// Locate cost from node `from_id`'s out-position to node `to_id`'s
   /// first segment.
   double Edge(int from_id, int to_id) const {
@@ -60,18 +67,36 @@ double EffectiveThreshold(const LocalSearchOptions& options,
                   options.min_gain_relative * initial_locate_seconds);
 }
 
-}  // namespace
-
-LocalSearchStats ImproveScheduleSweep(const tape::LocateModel& model,
-                                      Schedule* schedule,
-                                      const LocalSearchOptions& options) {
-  LocalSearchStats stats;
+// Or-opt prices every request as its own locate and read; the drive walks
+// the order step by step (StepPlanner), streaming gaps and delivering
+// repeats from the pass, which can price the input lower. Keeps whichever
+// order the planner prices lower and reports the planner's saving.
+template <typename Search>
+LocalSearchStats KeepIfCheaper(const tape::LocateModel& model,
+                               Schedule* schedule, Search search) {
   SERPENTINE_CHECK(schedule != nullptr);
-  if (schedule->full_tape_scan) return stats;
-  const int n = static_cast<int>(schedule->order.size());
-  if (n < 2) return stats;
-
+  if (schedule->full_tape_scan || schedule->order.size() < 2) return {};
   BatchEdgeCosts costs(model, *schedule);
+  const tape::LocateModel& pricing = costs.Pricing(model);
+  std::vector<Request> input = schedule->order;
+  double before = EstimateScheduleSeconds(pricing, *schedule);
+  LocalSearchStats stats = search(costs);
+  if (stats.moves == 0) return stats;
+  double after = EstimateScheduleSeconds(pricing, *schedule);
+  if (after > before) {
+    schedule->order = std::move(input);
+    stats.moves = 0;
+    after = before;
+  }
+  stats.seconds_saved = before - after;
+  return stats;
+}
+
+LocalSearchStats SweepSearch(const BatchEdgeCosts& costs,
+                             Schedule* schedule,
+                             const LocalSearchOptions& options) {
+  LocalSearchStats stats;
+  const int n = static_cast<int>(schedule->order.size());
   std::vector<Request>& order = schedule->order;
   std::vector<int> ids(n + 1);
   for (int p = 0; p <= n; ++p) ids[p] = p;
@@ -142,16 +167,11 @@ LocalSearchStats ImproveScheduleSweep(const tape::LocateModel& model,
   return stats;
 }
 
-LocalSearchStats ImproveSchedule(const tape::LocateModel& model,
-                                 Schedule* schedule,
-                                 const LocalSearchOptions& options) {
+LocalSearchStats IncrementalSearch(const BatchEdgeCosts& costs,
+                                   Schedule* schedule,
+                                   const LocalSearchOptions& options) {
   LocalSearchStats stats;
-  SERPENTINE_CHECK(schedule != nullptr);
-  if (schedule->full_tape_scan) return stats;
   const int n = static_cast<int>(schedule->order.size());
-  if (n < 2) return stats;
-
-  BatchEdgeCosts costs(model, *schedule);
   std::vector<Request>& order = schedule->order;
 
   // Position state: ids[p] is the node at path position p (ids[0] = start,
@@ -373,6 +393,24 @@ LocalSearchStats ImproveSchedule(const tape::LocateModel& model,
     if (!improved) break;
   }
   return stats;
+}
+
+}  // namespace
+
+LocalSearchStats ImproveScheduleSweep(const tape::LocateModel& model,
+                                      Schedule* schedule,
+                                      const LocalSearchOptions& options) {
+  return KeepIfCheaper(model, schedule, [&](const BatchEdgeCosts& costs) {
+    return SweepSearch(costs, schedule, options);
+  });
+}
+
+LocalSearchStats ImproveSchedule(const tape::LocateModel& model,
+                                 Schedule* schedule,
+                                 const LocalSearchOptions& options) {
+  return KeepIfCheaper(model, schedule, [&](const BatchEdgeCosts& costs) {
+    return IncrementalSearch(costs, schedule, options);
+  });
 }
 
 }  // namespace serpentine::sched

@@ -55,7 +55,9 @@ struct LocalSearchOptions {
 
 struct LocalSearchStats {
   int passes = 0;
+  /// Block moves kept (0 when the planner priced the input lower).
   int moves = 0;
+  /// EstimateScheduleSeconds before minus after.
   double seconds_saved = 0.0;
   /// Candidate edges priced (kernel evaluations or cache lookups).
   /// Implementation-specific: the incremental search reports far fewer
@@ -67,8 +69,11 @@ struct LocalSearchStats {
 };
 
 /// Improves `schedule` in place by Or-opt block relocation until no move
-/// helps (or max_passes). Returns the improvement statistics. No-op for
-/// READ schedules (their execution ignores the order). Incremental
+/// helps (or max_passes). Moves are priced per request (a locate and a
+/// read each); the result is kept only if the step planner's estimate
+/// (EstimateScheduleSeconds) does not rise, so the search never worsens
+/// a schedule. Returns the improvement statistics. No-op for READ
+/// schedules (their execution ignores the order). Incremental
 /// implementation; bit-identical to ImproveScheduleSweep.
 LocalSearchStats ImproveSchedule(const tape::LocateModel& model,
                                  Schedule* schedule,

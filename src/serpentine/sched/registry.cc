@@ -6,6 +6,7 @@
 #include "serpentine/obs/metrics.h"
 #include "serpentine/obs/trace.h"
 #include "serpentine/sched/coalesce.h"
+#include "serpentine/sched/estimator.h"
 #include "serpentine/sched/internal.h"
 #include "serpentine/sched/local_search.h"
 
@@ -22,6 +23,20 @@ std::string UppercaseLabel(std::string_view name) {
   return label;
 }
 
+/// `schedule`, or the same requests in one ascending pass when that
+/// prices strictly cheaper.
+Schedule BoundByOnePass(const tape::LocateModel& model, Schedule schedule) {
+  if (schedule.full_tape_scan || schedule.order.size() < 2) return schedule;
+  Schedule pass = schedule;
+  pass.order = internal::ScheduleSort(std::move(pass.order));
+  if (pass.order == schedule.order) return schedule;
+  if (EstimateScheduleSeconds(model, pass) <
+      EstimateScheduleSeconds(model, schedule)) {
+    return pass;
+  }
+  return schedule;
+}
+
 }  // namespace
 
 void Registry::Register(RegistryEntry entry) {
@@ -34,6 +49,24 @@ void Registry::Register(RegistryEntry entry) {
                               const SchedulerOptions& options) {
       return BuildSchedule(model, initial_position, std::move(requests),
                            algorithm, options);
+    };
+  }
+  // Every registry-built schedule is bounded by READ (paper §8): the
+  // ascending single pass streams the gaps it would otherwise locate over,
+  // so it never costs more than reading the whole tape. Of the entry's own
+  // schedule and that pass, the build returns the cheaper, both priced by
+  // the step planner. READ is the bound itself and is exempt.
+  if (entry.algorithm != Algorithm::kRead) {
+    entry.build = [inner = std::move(entry.build)](
+                      const tape::LocateModel& model,
+                      tape::SegmentId initial_position,
+                      std::vector<Request> requests,
+                      const SchedulerOptions& options)
+        -> serpentine::StatusOr<Schedule> {
+      SERPENTINE_ASSIGN_OR_RETURN(
+          Schedule schedule,
+          inner(model, initial_position, std::move(requests), options));
+      return BoundByOnePass(model, std::move(schedule));
     };
   }
   // Every registry-built schedule reports its scheduling CPU as a

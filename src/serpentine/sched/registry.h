@@ -48,6 +48,10 @@ class Registry {
 
   /// Adds `entry` (filling in a BuildSchedule-based factory if none is
   /// set). Re-registering a name replaces the earlier entry in place.
+  /// The stored factory is READ-bounded: it returns the cheaper of the
+  /// entry's schedule and the same requests in one ascending pass, both
+  /// priced by EstimateScheduleSeconds (entries with Algorithm::kRead are
+  /// the bound itself and build unchanged).
   void Register(RegistryEntry entry);
 
   /// The entry for `name`, or nullptr.

@@ -61,8 +61,10 @@ struct Schedule {
   Algorithm algorithm = Algorithm::kFifo;
   /// Head position (segment number) when execution begins.
   tape::SegmentId initial_position = 0;
-  /// Requests in service order. For READ schedules this is the delivery
-  /// order (ascending), but execution is a full-tape scan.
+  /// Requests in delivery order. How the drive reaches each one (locate,
+  /// stream through the gap, or deliver from the pass already read) is
+  /// decided by sched::StepPlanner. For READ schedules this is the
+  /// ascending delivery order, but execution is a full-tape scan.
   std::vector<Request> order;
   /// True for READ: execution reads the whole tape and rewinds, regardless
   /// of the request list.

@@ -38,6 +38,7 @@
 #include "serpentine/sched/request.h"
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/sched/selector.h"
+#include "serpentine/sched/step_planner.h"
 #include "serpentine/sched/weave_pattern.h"
 
 #include "serpentine/drive/drive.h"

@@ -4,19 +4,23 @@
 #include <limits>
 
 #include "serpentine/drive/model_drive.h"
-#include "serpentine/util/check.h"
+#include "serpentine/sched/step_planner.h"
 
 namespace serpentine::sim {
 
 ExecutionResult ExecuteSchedule(drive::Drive& drive,
                                 const sched::Schedule& schedule,
-                                const sched::EstimateOptions& options) {
+                                const sched::EstimateOptions& options,
+                                const tape::LocateModel* planning_model) {
   const tape::TapeGeometry& g = drive.geometry();
   ExecutionResult r;
 
   if (schedule.full_tape_scan) {
     tape::SegmentId last = g.total_segments() - 1;
     r.read_seconds = drive.ScanSegments(0, last).times.read_seconds;
+    for (const sched::Request& req : schedule.order) {
+      drive.DeliverSpan(req.segment, req.last());
+    }
     r.rewind_seconds = drive.Rewind().times.rewind_seconds;
     r.total_seconds = r.read_seconds + r.rewind_seconds;
     r.segments_read = g.total_segments();
@@ -32,19 +36,30 @@ ExecutionResult ExecuteSchedule(drive::Drive& drive,
   }
 
   drive.SetPosition(schedule.initial_position);
+  sched::StepPlanner planner(
+      planning_model != nullptr ? *planning_model : drive.model(),
+      schedule.initial_position, options.include_reads);
   for (const sched::Request& req : schedule.order) {
-    SERPENTINE_CHECK_GE(req.segment, 0);
-    SERPENTINE_CHECK_LE(req.last(), g.total_segments() - 1);
-    r.locate_seconds += drive.Locate(req.segment).times.locate_seconds;
-    ++r.locates;
-    if (options.include_reads) {
-      r.read_seconds +=
-          drive.ReadSegments(req.segment, req.last()).times.read_seconds;
-      r.segments_read += req.count;
-    } else {
-      // Estimate-only accounting still moves the head past the span.
-      drive.SetPosition(sched::OutPosition(g, req));
+    sched::Step step = planner.Next(req);
+    if (step.kind == sched::StepKind::kLocate) {
+      r.locate_seconds += drive.Locate(req.segment).times.locate_seconds;
+      ++r.locates;
+      if (options.include_reads) {
+        r.read_seconds +=
+            drive.ReadSegments(req.segment, req.last()).times.read_seconds;
+        r.segments_read += req.count;
+      } else {
+        // Estimate-only accounting still moves the head past the span.
+        drive.SetPosition(planner.head());
+      }
+      continue;
     }
+    if (step.scans(req)) {
+      r.read_seconds +=
+          drive.ScanSegments(step.scan_from, req.last()).times.read_seconds;
+      r.segments_read += req.last() - step.scan_from + 1;
+    }
+    drive.DeliverSpan(req.segment, req.last());
   }
   if (options.rewind_at_end) {
     r.rewind_seconds = drive.Rewind().times.rewind_seconds;
@@ -56,9 +71,10 @@ ExecutionResult ExecuteSchedule(drive::Drive& drive,
 
 ExecutionResult ExecuteSchedule(const tape::LocateModel& model,
                                 const sched::Schedule& schedule,
-                                const sched::EstimateOptions& options) {
+                                const sched::EstimateOptions& options,
+                                const tape::LocateModel* planning_model) {
   drive::ModelDrive drive(model, schedule.initial_position);
-  return ExecuteSchedule(drive, schedule, options);
+  return ExecuteSchedule(drive, schedule, options, planning_model);
 }
 
 double PercentError(double estimate, double measurement) {

@@ -19,6 +19,8 @@ struct ExecutionResult {
   double read_seconds = 0.0;
   double rewind_seconds = 0.0;
   int64_t locates = 0;
+  /// Segments the drive transferred: every request's span, plus the gaps
+  /// streamed through.
   int64_t segments_read = 0;
   /// Head position after the last operation.
   tape::SegmentId final_position = 0;
@@ -33,24 +35,32 @@ struct ExecutionResult {
 /// Runs `schedule` against `drive` (the stateful drive stack) and returns
 /// the breakdown. With a PhysicalDrive at the base this is the paper's
 /// "measured" execution time; with the scheduler's own model it equals the
-/// estimate. The head is first aligned (at zero cost) with the schedule's
-/// planned start — schedules are built from the live head position, so
-/// this is normally a no-op. An empty schedule (no requests, not a
-/// full-tape scan) executes as a no-op and returns a zeroed result with
-/// final_position == initial_position.
+/// estimate bit for bit. The head is first aligned (at zero cost) with the
+/// schedule's planned start — schedules are built from the live head
+/// position, so this is normally a no-op. Each request is serviced by the
+/// step sched::StepPlanner picks: a locate and read, a stream through the
+/// gap, or a delivery from the pass already read. `planning_model` picks
+/// the steps (the scheduler's belief); null plans with the drive's own
+/// model. A full-tape scan delivers every request after the pass. An empty
+/// schedule (no requests, not a full-tape scan) executes as a no-op and
+/// returns a zeroed result with final_position == initial_position.
 ///
 /// Assumes a fault-free stack: non-kOk op results are not retried (use
 /// RecoveringExecutor to run FaultDrive stacks).
 ExecutionResult ExecuteSchedule(drive::Drive& drive,
                                 const sched::Schedule& schedule,
-                                const sched::EstimateOptions& options = {});
+                                const sched::EstimateOptions& options = {},
+                                const tape::LocateModel* planning_model =
+                                    nullptr);
 
 /// Model shim: executes against a throwaway ModelDrive over `model`.
 /// Bit-identical to the drive path (the ModelDrive charges exactly the
 /// model's numbers in the same order).
 ExecutionResult ExecuteSchedule(const tape::LocateModel& model,
                                 const sched::Schedule& schedule,
-                                const sched::EstimateOptions& options = {});
+                                const sched::EstimateOptions& options = {},
+                                const tape::LocateModel* planning_model =
+                                    nullptr);
 
 /// Percent error of an estimate against a measurement, as in Fig 8/9:
 /// (estimate - measurement) / measurement × 100. Guarded against

@@ -105,7 +105,8 @@ PointStats SimulatePoint(const tape::LocateModel& scheduling_model,
                 SERPENTINE_CHECK(schedule.ok());
 
                 shard_seconds[s].Add(
-                    ExecuteSchedule(execution_model, schedule.value())
+                    ExecuteSchedule(execution_model, schedule.value(), {},
+                                    &scheduling_model)
                         .total_seconds);
               }
             });

@@ -20,15 +20,15 @@ double NowSeconds() {
       .count();
 }
 
-/// Where the head will be after ExecuteSchedule runs `schedule`: exact on
-/// any drive honoring the fault-free contract.
-tape::SegmentId PredictFinalPosition(const tape::TapeGeometry& g,
+/// Where the head will be after ExecuteSchedule runs `schedule`: the
+/// step planner's final head, exact on any drive honoring the fault-free
+/// contract.
+tape::SegmentId PredictFinalPosition(const tape::LocateModel& model,
                                      const sched::Schedule& schedule,
                                      const sched::EstimateOptions& estimate) {
-  if (schedule.full_tape_scan) return 0;  // scan always ends in a rewind
-  if (schedule.order.empty()) return schedule.initial_position;
-  if (estimate.rewind_at_end) return 0;
-  return sched::OutPosition(g, schedule.order.back());
+  tape::SegmentId position = schedule.initial_position;
+  sched::EstimateScheduleSeconds(model, schedule, estimate, &position);
+  return position;
 }
 
 /// One prefetched build in flight: the pool thread fills the slot, the
@@ -55,7 +55,6 @@ serpentine::StatusOr<PipelineResult> RunPipelinedBatches(
     const BatchScheduleBuilder& build, const PipelineOptions& options) {
   PipelineResult result;
   if (batches.empty()) return result;
-  const tape::TapeGeometry& g = drive.geometry();
   const int n = static_cast<int>(batches.size());
   ThreadPool* pool =
       options.overlap
@@ -99,10 +98,12 @@ serpentine::StatusOr<PipelineResult> RunPipelinedBatches(
 
     // Launch batch k+1's build before executing batch k, from the
     // predicted end position of this batch.
-    const tape::SegmentId predicted =
-        PredictFinalPosition(g, *schedule, options.estimate);
     PendingBuild pending;
     bool launching = options.overlap && k + 1 < n;
+    const tape::SegmentId predicted =
+        launching
+            ? PredictFinalPosition(drive.model(), *schedule, options.estimate)
+            : 0;
     if (launching) {
       pool->Schedule([&pending, &timed_build, k, predicted,
                       batch = std::move(batches[k + 1])]() mutable {

@@ -4,6 +4,7 @@
 
 #include "serpentine/obs/metrics.h"
 #include "serpentine/obs/trace.h"
+#include "serpentine/sched/step_planner.h"
 #include "serpentine/util/check.h"
 
 namespace serpentine::sim {
@@ -114,7 +115,7 @@ RecoveringExecutionResult RecoveringExecutor::ExecuteFullScan(
       ++r.requests_serviced;
     }
     if (on_step) {
-      on_step(req, drive_->model().ReadSeconds(0, req.segment) + recovery_before,
+      on_step(req, drive_->model().ReadSeconds(0, req.last()) + recovery_before,
               ok);
     }
   }
@@ -130,7 +131,6 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
     const sched::Schedule& schedule, const StepCallback& on_step) const {
   if (schedule.full_tape_scan) return ExecuteFullScan(schedule, on_step);
 
-  const tape::TapeGeometry& g = drive_->geometry();
   RecoveringExecutionResult r;
   r.final_position = schedule.initial_position;
   if (schedule.order.empty()) {
@@ -139,10 +139,13 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
   }
 
   // The live plan: requests not yet serviced, in service order. Repairs
-  // replace it wholesale.
+  // replace it wholesale; the planner carries the head and the pass across
+  // them.
   std::vector<sched::Request> queue = schedule.order;
   size_t idx = 0;
   drive_->SetPosition(schedule.initial_position);
+  sched::StepPlanner planner(scheduling_model_, schedule.initial_position,
+                             options_.estimate.include_reads);
   int reschedules_left = options_.reschedule_after_fault
                              ? options_.max_reschedules
                              : 0;
@@ -151,10 +154,58 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
   // totals match ExecuteSchedule's summation order exactly.
   double elapsed = 0.0;
 
+  // Reissues an op refused by an open breaker: the refusal charged the
+  // remaining cooldown, so the retry is the admitted half-open probe.
+  auto through_breaker = [&](auto issue) {
+    drive::OpResult op = issue();
+    if (op.status == drive::OpStatus::kCircuitOpen) {
+      ++r.breaker_fast_fails;
+      r.breaker_wait_seconds += op.retry_after_seconds;
+      r.recovery_seconds += op.times.recovery_seconds;
+      elapsed += op.times.recovery_seconds;
+      NoteFault("circuit-open", "recover.breaker_fast_fails", elapsed);
+      op = issue();
+    }
+    return op;
+  };
+
   while (idx < queue.size()) {
     const sched::Request req = queue[idx];
-    SERPENTINE_CHECK_GE(req.segment, 0);
-    SERPENTINE_CHECK_LE(req.last(), g.total_segments() - 1);
+    const sched::Step step = planner.Next(req);
+
+    // -------- stream / from-pass: scan, then deliver --------
+    // The scan never faults; a delivery absorbs one transient re-read and
+    // fails only on a permanent media error, which leaves the head (and
+    // the pass) where the scan put them.
+    if (step.kind != sched::StepKind::kLocate) {
+      if (step.scans(req)) {
+        double scan = through_breaker([&] {
+                        return drive_->ScanSegments(step.scan_from,
+                                                    req.last());
+                      }).times.read_seconds;
+        r.read_seconds += scan;
+        elapsed += scan;
+        r.segments_read += req.last() - step.scan_from + 1;
+      }
+      drive::OpResult op = through_breaker(
+          [&] { return drive_->DeliverSpan(req.segment, req.last()); });
+      r.recovery_seconds += op.times.recovery_seconds;
+      elapsed += op.times.recovery_seconds;
+      r.transient_read_errors += op.transient_read_errors;
+      r.retries += op.transient_read_errors;
+      ++idx;
+      if (op.ok()) {
+        ++r.requests_serviced;
+        if (on_step) on_step(req, elapsed, true);
+        continue;
+      }
+      ++r.permanent_errors;
+      NoteFault("permanent-media-error", "recover.permanent_errors", elapsed);
+      r.abandoned_segments.push_back(req.segment);
+      obs::IncrementCounter("recover.abandoned");
+      if (on_step) on_step(req, elapsed, false);
+      continue;
+    }
 
     // -------- locate phase (with retries) --------
     bool located = false;
@@ -225,7 +276,7 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
     bool permanent_failure = false;
     if (located) {
       if (!options_.estimate.include_reads) {
-        drive_->SetPosition(sched::OutPosition(g, req));
+        drive_->SetPosition(planner.head());
         ++r.requests_serviced;
         if (on_step) on_step(req, elapsed, true);
       } else {
@@ -279,6 +330,10 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
         }
       }
     }
+
+    // A step that did not service its request left the head wherever the
+    // faults put it: the pass ends there.
+    if (abandoned || !located) planner.Restart(drive_->Position());
 
     if (abandoned) {
       r.abandoned_segments.push_back(req.segment);

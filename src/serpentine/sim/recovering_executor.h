@@ -17,6 +17,11 @@
 //                               rescheduled from the current position;
 //   * retry exhaustion       -> the request is abandoned and reported.
 //
+// Requests are serviced by the steps sched::StepPlanner picks (locate and
+// read, stream through a gap, or deliver from the pass already read),
+// planned with the scheduling model; a delivery fault abandons only its
+// request, and any fault that moves the head ends the current pass.
+//
 // On a fault-free stack (no FaultDrive, a null injector, or an all-zero
 // FaultProfile) the executor reproduces sim::ExecuteSchedule bit for bit,
 // so the paper's figures are unchanged by default; a test pins this golden

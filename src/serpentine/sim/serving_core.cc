@@ -11,6 +11,7 @@
 #include "serpentine/obs/metrics.h"
 #include "serpentine/obs/trace.h"
 #include "serpentine/sched/estimator.h"
+#include "serpentine/sched/step_planner.h"
 #include "serpentine/sim/recovering_executor.h"
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
@@ -131,7 +132,12 @@ ServingCore::ServingCore(std::vector<const tape::LocateModel*> models,
     drive_ = health_.get();
   }
 
-  // Degradation ladder, resolved once (validation guaranteed the names).
+  // The registry entry for the configured algorithm (the READ-bounded
+  // build) and the degradation ladder, resolved once (validation
+  // guaranteed the names).
+  algorithm_entry_ =
+      sched::Registry::Default().Find(sched::AlgorithmName(config_.algorithm));
+  SERPENTINE_CHECK(algorithm_entry_ != nullptr);
   if (config_.degradation.enabled) {
     rungs_.reserve(config_.degradation.rungs.size());
     for (const std::string& name : config_.degradation.rungs) {
@@ -212,8 +218,7 @@ double ServingCore::EstimateChainSeconds(
       plan.order.push_back(sched::Request{chain[i].second, 1});
       ++i;
     }
-    total += sched::EstimateScheduleSeconds(*models_[cart], plan);
-    head = sched::OutPosition(models_[cart]->geometry(), plan.order.back());
+    total += sched::EstimateScheduleSeconds(*models_[cart], plan, {}, &head);
   }
   return total;
 }
@@ -458,9 +463,8 @@ void ServingCore::Dispatch() {
                              .count();
       }
     } else {
-      schedule =
-          sched::BuildSchedule(model, drive_->Position(), batch,
-                               config_.algorithm, config_.scheduler_options);
+      schedule = algorithm_entry_->build(model, drive_->Position(), batch,
+                                         config_.scheduler_options);
     }
     SERPENTINE_CHECK(schedule.ok());
     ExecuteGroup(group, *schedule);
@@ -609,12 +613,24 @@ void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
     clock_ += busy;
     result_.drive_busy_seconds += busy;
   } else {
+    sched::StepPlanner planner(model, drive.Position());
     for (const sched::Request& r : schedule.order) {
-      double step = through_breaker([&] { return drive.Locate(r.segment); })
-                        .times.locate_seconds;
-      step += through_breaker([&] {
-                return drive.ReadSegments(r.segment, r.last());
-              }).times.read_seconds;
+      const sched::Step plan = planner.Next(r);
+      double step = 0.0;
+      if (plan.kind == sched::StepKind::kLocate) {
+        step = through_breaker([&] { return drive.Locate(r.segment); })
+                   .times.locate_seconds;
+        step += through_breaker([&] {
+                  return drive.ReadSegments(r.segment, r.last());
+                }).times.read_seconds;
+      } else {
+        if (plan.scans(r)) {
+          step = through_breaker([&] {
+                   return drive.ScanSegments(plan.scan_from, r.last());
+                 }).times.read_seconds;
+        }
+        through_breaker([&] { return drive.DeliverSpan(r.segment, r.last()); });
+      }
       clock_ += step;
       result_.drive_busy_seconds += step;
       complete(r.segment, clock_, /*ok=*/true);

@@ -188,6 +188,8 @@ class ServingCore {
   drive::Drive* drive_ = nullptr;
   int mounted_ = 0;
 
+  /// Builds every batch when the degradation ladder is off.
+  const sched::RegistryEntry* algorithm_entry_ = nullptr;
   std::vector<const sched::RegistryEntry*> rungs_;
   int cpu_penalty_ = 0;
   bool cpu_budget_active_ = false;

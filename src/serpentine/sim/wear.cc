@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "serpentine/sched/estimator.h"
+#include "serpentine/sched/step_planner.h"
 #include "serpentine/util/check.h"
 
 namespace serpentine::sim {
@@ -38,22 +38,27 @@ void WearTracker::RecordSchedule(const tape::Dlt4000LocateModel& model,
     return;
   }
 
-  tape::SegmentId position = schedule.initial_position;
+  sched::StepPlanner planner(model, schedule.initial_position);
   for (const sched::Request& r : schedule.order) {
-    double p_here = g.PhysicalPosition(position);
-    if (r.segment != position) {
-      // Scan leg to the target key point, then read-forward leg.
-      double target = model.ScanTargetPhysical(position, r.segment);
-      RecordMotion(p_here, target);
-      RecordMotion(target, g.PhysicalPosition(r.segment));
+    tape::SegmentId position = planner.head();
+    const sched::Step step = planner.Next(r);
+    double p_out = g.PhysicalPosition(planner.head());
+    if (step.kind == sched::StepKind::kLocate) {
+      if (r.segment != position) {
+        // Scan leg to the target key point, then read-forward leg.
+        double target = model.ScanTargetPhysical(position, r.segment);
+        RecordMotion(g.PhysicalPosition(position), target);
+        RecordMotion(target, g.PhysicalPosition(r.segment));
+      }
+      // The transfer itself.
+      RecordMotion(g.PhysicalPosition(r.segment), p_out);
+    } else if (step.scans(r)) {
+      // Streaming through the gap (or past what the pass has read).
+      RecordMotion(g.PhysicalPosition(step.scan_from), p_out);
     }
-    // The transfer itself.
-    tape::SegmentId out = sched::OutPosition(g, r);
-    RecordMotion(g.PhysicalPosition(r.segment), g.PhysicalPosition(out));
-    position = out;
   }
   if (rewind_at_end) {
-    RecordMotion(g.PhysicalPosition(position), 0.0);
+    RecordMotion(g.PhysicalPosition(planner.head()), 0.0);
   }
 }
 

@@ -27,8 +27,10 @@ class WearTracker {
   /// Records head motion between two physical positions.
   void RecordMotion(tape::PhysicalPos from, tape::PhysicalPos to);
 
-  /// Replays `schedule`'s head motion (locates: scan leg to the key point
-  /// + read leg; reads: the request span; optional rewind) and records it.
+  /// Replays `schedule`'s head motion step by step (sched::StepPlanner):
+  /// locates record the scan leg to the key point, the read leg and the
+  /// request span; streams and pass extensions record the scanned span;
+  /// deliveries from the pass record nothing. An optional rewind ends it.
   void RecordSchedule(const tape::Dlt4000LocateModel& model,
                       const sched::Schedule& schedule,
                       bool rewind_at_end = false);

@@ -131,22 +131,34 @@ serpentine::StatusOr<TapeGeometry> TapeGeometry::FromKeyPoints(
 int TapeGeometry::TrackOf(SegmentId seg) const {
   SERPENTINE_CHECK_GE(seg, 0);
   SERPENTINE_CHECK_LT(seg, total_segments_);
-  auto it = std::upper_bound(track_start_.begin(), track_start_.end(), seg);
-  return static_cast<int>(it - track_start_.begin()) - 1;
+  // Tracks hold nearly equal segment counts, so the proportional guess is
+  // at most a step or two off; walk to the track whose span holds `seg`.
+  int t = static_cast<int>(seg * params_.num_tracks / total_segments_);
+  while (track_start_[t] > seg) --t;
+  while (track_start_[t + 1] <= seg) ++t;
+  return t;
+}
+
+int TapeGeometry::ReadingSectionOnTrack(int track, SegmentId seg) const {
+  // Sections hold nearly equal segment counts: guess proportionally, then
+  // walk to the key points that bracket `seg`.
+  const auto& ks = key_segment_[track];
+  const int sections = params_.sections_per_track;
+  int r = static_cast<int>((seg - ks[0]) * sections / track_segments(track));
+  r = std::min(r, sections - 1);
+  while (ks[r] > seg) --r;
+  while (r + 1 < sections && ks[r + 1] <= seg) ++r;
+  return r;
 }
 
 int TapeGeometry::ReadingSectionOf(SegmentId seg) const {
-  int t = TrackOf(seg);
-  const auto& ks = key_segment_[t];
-  auto it = std::upper_bound(ks.begin(), ks.end(), seg);
-  return static_cast<int>(it - ks.begin()) - 1;
+  return ReadingSectionOnTrack(TrackOf(seg), seg);
 }
 
 Coord TapeGeometry::ToCoord(SegmentId seg) const {
   int t = TrackOf(seg);
   const auto& ks = key_segment_[t];
-  auto it = std::upper_bound(ks.begin(), ks.end(), seg);
-  int r = static_cast<int>(it - ks.begin()) - 1;
+  int r = ReadingSectionOnTrack(t, seg);
   int p = PhysicalSection(t, r);
   int64_t offset = seg - ks[r];
   int len = sec_len_[t][p];
@@ -181,16 +193,34 @@ PhysicalPos TapeGeometry::KeyPointPhysical(int track,
 }
 
 PhysicalPos TapeGeometry::PhysicalPosition(SegmentId seg) const {
-  Coord c = ToCoord(seg);
-  double lo = boundary_[c.track][c.physical_section];
-  double hi = boundary_[c.track][c.physical_section + 1];
-  int len = sec_len_[c.track][c.physical_section];
+  return LocusOf(seg).position;
+}
+
+TapeGeometry::Locus TapeGeometry::LocusOf(SegmentId seg) const {
+  return LocusOnTrack(TrackOf(seg), seg);
+}
+
+TapeGeometry::Locus TapeGeometry::LocusOnTrack(int track,
+                                               SegmentId seg) const {
+  const auto& ks = key_segment_[track];
+  int r = ReadingSectionOnTrack(track, seg);
+  int p = PhysicalSection(track, r);
+  int64_t offset = seg - ks[r];
+  int len = sec_len_[track][p];
+  SERPENTINE_CHECK_LT(offset, len);
+  double lo = boundary_[track][p];
+  double hi = boundary_[track][p + 1];
   // The head sits at the reading edge of the segment's slot: the low edge
   // on forward tracks, the high edge on reverse tracks.
-  double frac = IsForwardTrack(c.track)
-                    ? static_cast<double>(c.index) / len
-                    : static_cast<double>(c.index + 1) / len;
-  return lo + frac * (hi - lo);
+  double frac = IsForwardTrack(track)
+                    ? static_cast<double>(offset) / len
+                    : static_cast<double>(len - static_cast<int>(offset)) /
+                          len;
+  Locus locus;
+  locus.track = track;
+  locus.reading_section = r;
+  locus.position = lo + frac * (hi - lo);
+  return locus;
 }
 
 TapeGeometry::ReadSpan TapeGeometry::SequentialSpan(SegmentId from,
@@ -203,10 +233,10 @@ TapeGeometry::ReadSpan TapeGeometry::SequentialSpan(SegmentId from,
   for (int t = t0; t <= t1; ++t) {
     SegmentId a = std::max(from, track_start_[t]);
     SegmentId b = std::min(to, track_start_[t + 1] - 1);
-    double start = PhysicalPosition(a);
+    double start = LocusOnTrack(t, a).position;
     double end;
     if (b + 1 < track_start_[t + 1]) {
-      end = PhysicalPosition(b + 1);
+      end = LocusOnTrack(t, b + 1).position;
     } else {
       // Reading runs to the end of the track: the far physical edge on
       // forward tracks, BOT on reverse tracks.

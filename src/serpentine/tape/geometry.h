@@ -105,6 +105,17 @@ class TapeGeometry {
   /// Physical position of the head when positioned to begin reading `seg`.
   PhysicalPos PhysicalPosition(SegmentId seg) const;
 
+  /// Track, reading-order section and physical position of `seg` from one
+  /// track lookup: the same values TrackOf, ReadingSectionOf and
+  /// PhysicalPosition return, bit for bit, at a third of the cost (the
+  /// locate model's hot path).
+  struct Locus {
+    int track = 0;
+    int reading_section = 0;
+    PhysicalPos position = 0.0;
+  };
+  Locus LocusOf(SegmentId seg) const;
+
   /// Physical distance (section units) the head sweeps while reading from
   /// segment `from` through segment `to` inclusive, plus the number of
   /// track switches incurred. Requires from <= to.
@@ -127,6 +138,11 @@ class TapeGeometry {
 
  private:
   TapeGeometry() = default;
+
+  /// LocusOf and ReadingSectionOf for a segment already known to lie on
+  /// `track`.
+  Locus LocusOnTrack(int track, SegmentId seg) const;
+  int ReadingSectionOnTrack(int track, SegmentId seg) const;
 
   TapeParams params_;
   SegmentId total_segments_ = 0;

@@ -35,12 +35,14 @@ Dlt4000LocateModel::Plan Dlt4000LocateModel::PlanLocate(SegmentId src,
                                                         SegmentId dst) const {
   Plan plan{};
   const TapeGeometry& g = geometry_;
-  int track_s = g.TrackOf(src);
-  int track_d = g.TrackOf(dst);
-  int r_s = g.ReadingSectionOf(src);
-  int r_d = g.ReadingSectionOf(dst);
-  double p_s = g.PhysicalPosition(src);
-  double p_d = g.PhysicalPosition(dst);
+  const TapeGeometry::Locus s = g.LocusOf(src);
+  const TapeGeometry::Locus d = g.LocusOf(dst);
+  int track_s = s.track;
+  int track_d = d.track;
+  int r_s = s.reading_section;
+  int r_d = d.reading_section;
+  double p_s = s.position;
+  double p_d = d.position;
 
   // Case 1: forward in the same track, within the same or next two reading
   // sections — the drive stays at read speed.

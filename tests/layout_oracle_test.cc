@@ -124,8 +124,14 @@ TEST(OracleComponentsTest, PredictionFormulas) {
   // n = 1: one locate from 0 (T/2 expected) plus one transfer.
   EXPECT_NEAR(oracle.PredictFifoTourSeconds(1),
               5.0 + 2.5e-4 * 300000.0 + 0.0655, 1e-9);
+  // Sorted service streams a request that lies within G* = 5 / (0.0655 -
+  // 2.5e-4) segments of the head instead of locating to it; for n = 1 the
+  // tour falls short of the locate-only form by exactly 5 * G* / (2T).
+  const double crossover = 5.0 / (0.0655 - 2.5e-4);
   EXPECT_NEAR(oracle.PredictSortedTourSeconds(1),
-              5.0 + 2.5e-4 * 300000.0 + 0.0655, 1e-9);
+              5.0 + 2.5e-4 * 300000.0 + 0.0655 -
+                  5.0 * crossover / (2.0 * 600000.0),
+              1e-9);
   // 2*sqrt(1000) - 1.7711 * 1000^(1/6) ≈ 57.645
   EXPECT_NEAR(PredictForwardPasses(1000), 57.645, 0.01);
 }

@@ -73,6 +73,25 @@ TEST(CoalesceTest, MultiSegmentRequestsMeasureFromLastSegment) {
   EXPECT_EQ(groups[0].last(), 3000);
 }
 
+TEST(CoalesceTest, OverlappingRequestsReachTheFurthestSegment) {
+  // {100, 64} reads through 163; {110, 1} starts later but ends earlier, so
+  // the group still reads through 163 and the next gap is measured from
+  // there: {170, 1} is 7 past it.
+  std::vector<Request> reqs = {Request{110, 1}, Request{100, 64}};
+  auto groups = CoalesceRequests(reqs, 10);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].in(), 100);
+  EXPECT_EQ(groups[0].last(), 163);
+  reqs.push_back(Request{170, 1});
+  EXPECT_EQ(CoalesceRequests(reqs, 8).size(), 1u);
+  EXPECT_EQ(CoalesceRequests(reqs, 7).size(), 2u);
+  // Threshold 0 never merges, not even overlapping requests.
+  auto separate = CoalesceRequests(reqs, 0);
+  ASSERT_EQ(separate.size(), 3u);
+  EXPECT_EQ(separate[0].last(), 163);
+  EXPECT_EQ(separate[1].last(), 110);
+}
+
 TEST(CoalesceTest, DuplicateSegmentsStayTogether) {
   auto groups = CoalesceRequests(Reqs({42, 42, 42}), 1410);
   ASSERT_EQ(groups.size(), 1u);

@@ -95,6 +95,40 @@ TEST(TapeGeometryTest, CoordRoundTripExhaustiveOnSampledSegments) {
   }
 }
 
+TEST(TapeGeometryTest, LookupsMatchALinearScanOnUnevenTracks) {
+  // TrackOf and the key-point lookup start from a proportional guess;
+  // tracks and sections of wildly different sizes must still resolve to
+  // the bracketing start, and LocusOf must agree with the single lookups.
+  TapeParams params;
+  params.num_tracks = 4;
+  params.sections_per_track = 3;
+  auto g = TapeGeometry::FromKeyPoints(params,
+                                       {{0, 5, 10},
+                                        {20, 500, 900},
+                                        {1020, 1021, 1022},
+                                        {1050, 1060, 3000}},
+                                       5000);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  for (SegmentId seg = 0; seg < g->total_segments(); ++seg) {
+    int track = 0;
+    while (track + 1 < g->num_tracks() && g->track_start(track + 1) <= seg) {
+      ++track;
+    }
+    int r = 0;
+    while (r + 1 < g->sections_per_track() &&
+           g->KeyPointSegment(track, r + 1) <= seg) {
+      ++r;
+    }
+    ASSERT_EQ(g->TrackOf(seg), track) << "seg=" << seg;
+    ASSERT_EQ(g->ReadingSectionOf(seg), r) << "seg=" << seg;
+    TapeGeometry::Locus locus = g->LocusOf(seg);
+    EXPECT_EQ(locus.track, track);
+    EXPECT_EQ(locus.reading_section, r);
+    EXPECT_EQ(locus.position, g->PhysicalPosition(seg));
+    EXPECT_EQ(g->ToSegment(g->ToCoord(seg)), seg);
+  }
+}
+
 TEST(TapeGeometryTest, ForwardTrackLayout) {
   TapeGeometry g = Dlt4000();
   // The first segment written on a forward track t is (t, 0, 0).

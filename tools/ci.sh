@@ -105,8 +105,10 @@ for config in $CONFIGS; do
 
   # Perf smoke, on the unsanitized release build only: one 10k-request
   # construction sweep (sched_scale exits nonzero on crash, NaN estimates,
-  # dropped requests, or sweep/incremental Or-opt divergence), then a
-  # schema check over the timing records it emitted.
+  # dropped requests, a build above the READ bound, loss-mt-oropt pricing
+  # above sort, or sweep/incremental Or-opt divergence), then a schema
+  # check over the timing records it emitted (estimate_s and
+  # read_bound_ratio included).
   if [ "$config" = "plain" ]; then
     echo "== perf smoke: sched_scale --max-n=10000 ($build_dir) =="
     smoke_json="$build_dir/perf_smoke_sched_cpu.json"

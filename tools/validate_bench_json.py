@@ -58,6 +58,10 @@ FIGURE_REQUIRED = {
         "migration_seconds": (int, float),
         "foreground_p99_seconds": (int, float),
     },
+    "sched_scale": {
+        "estimate_s": (int, float),
+        "read_bound_ratio": (int, float),
+    },
     "stress": {
         "process": str,
         "tenants": int,
@@ -74,6 +78,14 @@ FIGURE_REQUIRED = {
         "utilization": (int, float),
         "fairness_jain": (int, float),
     },
+}
+
+
+# Records of a figure whose label starts with one of these prefixes carry
+# only the base schema (sched_scale's Or-opt timing records price no
+# schedule of their own).
+FIGURE_EXEMPT_LABEL_PREFIXES = {
+    "sched_scale": ("oropt-",),
 }
 
 
@@ -102,7 +114,9 @@ def validate_record(record):
     if problem is not None:
         return problem
     extras = FIGURE_REQUIRED.get(record["figure"])
-    if extras is not None and record["label"] != "_total":
+    exempt = FIGURE_EXEMPT_LABEL_PREFIXES.get(record["figure"], ())
+    if (extras is not None and record["label"] != "_total"
+            and not record["label"].startswith(exempt)):
         return check_keys(record, extras)
     return None
 
