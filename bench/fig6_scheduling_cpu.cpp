@@ -1,10 +1,17 @@
 // Figure 6: CPU seconds to generate a schedule, per algorithm and schedule
 // length. The paper timed a SparcStation 20/61; absolute numbers here are
-// ~1000x faster, but the shapes must match: OPT exponential, LOSS
-// quadratic, SLTF ~ N log N + k^2, SORT/SCAN/WEAVE near-linear.
+// ~1000x faster. OPT stays exponential, SLTF ~ N log N + k^2 and
+// SORT/SCAN/WEAVE near-linear, as in the paper. The paper's LOSS was
+// quadratic; this LOSS solver refreshes only the edge caches a commit
+// invalidates and searches tape neighbours outward under a lower bound, so
+// its curve (BM_LossSolve for the solver alone) is well below quadratic.
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "serpentine/tsp/locate_cost.h"
+#include "serpentine/tsp/loss_solver.h"
 #include "serpentine/util/lrand48.h"
 
 using namespace serpentine;
@@ -78,6 +85,35 @@ void BM_LossMtOropt(benchmark::State& state) {
 }
 void BM_Opt(benchmark::State& state) { RunScheduling(state, "opt"); }
 
+// The LOSS solver alone, on the shape loss-mt hands it: n requests sorted
+// by segment on a band of tape as dense as a 10,000-request batch, the
+// first request pinned as the path's start, priced by the Dlt4000 kernel.
+void BM_LossSolve(benchmark::State& state) {
+  const auto& model = Model();
+  const int n = static_cast<int>(state.range(0));
+  const tape::SegmentId total = model.geometry().total_segments();
+  const tape::SegmentId band = std::max<tape::SegmentId>(1, total * n / 10000);
+  Lrand48 rng(7 + n);
+  constexpr int kFragments = 16;
+  std::vector<tsp::LocateCostSoA> fragments;
+  for (int f = 0; f < kFragments; ++f) {
+    const tape::SegmentId start = rng.NextBounded(total - band);
+    std::vector<tape::SegmentId> in;
+    for (int k = 0; k < n; ++k) in.push_back(start + rng.NextBounded(band));
+    std::sort(in.begin(), in.end());
+    std::vector<tape::SegmentId> out;
+    for (tape::SegmentId s : in) out.push_back(std::min(s + 1, total - 1));
+    fragments.emplace_back(model, std::move(out), std::move(in));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    auto order = tsp::SolveLossPathOver(fragments[next]);
+    next = (next + 1) % kFragments;
+    benchmark::DoNotOptimize(order);
+  }
+  state.SetComplexityN(n);
+}
+
 // Opt-in 100k-request points: they multiply the bench's runtime, so the
 // default run keeps the paper's range and the large regime only joins
 // when SERPENTINE_BENCH_LARGE=1 (run_benches.sh documents this).
@@ -108,8 +144,9 @@ BENCHMARK(BM_Scan)->Apply(FullRange)->Complexity(benchmark::oN);
 BENCHMARK(BM_Weave)->Apply(FullRange)->Complexity(benchmark::oN);
 BENCHMARK(BM_Sltf)->Apply(FullRange)->Complexity(benchmark::oNSquared);
 BENCHMARK(BM_SltfNaive)->Apply(MidRange)->Complexity(benchmark::oNSquared);
-BENCHMARK(BM_Loss)->Apply(FullRange)->Complexity(benchmark::oNSquared);
-BENCHMARK(BM_LossCoalesced)->Apply(FullRange)->Complexity(benchmark::oNSquared);
+BENCHMARK(BM_Loss)->Apply(FullRange)->Complexity(benchmark::oNLogN);
+BENCHMARK(BM_LossCoalesced)->Apply(FullRange)->Complexity(benchmark::oNLogN);
+BENCHMARK(BM_LossSolve)->Arg(16)->Arg(64)->Arg(256)->Arg(1024)->Complexity();
 BENCHMARK(BM_SparseLoss)->Apply(ScalableRange)->Complexity(benchmark::oNSquared);
 BENCHMARK(BM_LossMt)->Apply(ScalableRange)->Complexity(benchmark::oN);
 BENCHMARK(BM_LossMtOropt)->Apply(ScalableRange)->Complexity(benchmark::oN);

@@ -42,20 +42,33 @@ LocateCostSoA::LocateCostSoA(const tape::LocateModel& model,
   in_kp_ppos_.resize(n_);
   in_kp_read_seconds_.resize(n_);
   out_forward_.resize(n_);
+  read_forward_end_.resize(n_);
+  read_forward_begin_.resize(n_);
+  const int sections = g.sections_per_track();
   for (int c = 0; c < n_; ++c) {
     const tape::SegmentId src = out_seg_[c];
-    out_track_[c] = g.TrackOf(src);
-    out_rsec_[c] = g.ReadingSectionOf(src);
-    out_ppos_[c] = g.PhysicalPosition(src);
-    out_forward_[c] = g.IsForwardTrack(out_track_[c]) ? 1 : 0;
+    const tape::TapeGeometry::Locus s = g.LocusOf(src);
+    out_track_[c] = s.track;
+    out_rsec_[c] = s.reading_section;
+    out_ppos_[c] = s.position;
+    out_forward_[c] = g.IsForwardTrack(s.track) ? 1 : 0;
+    // Reading sections grow with the segment number along a track, so
+    // case 1's "same track, dst >= src, r_d <= r_s + 2" is one segment
+    // range per source and one per destination.
+    read_forward_end_[c] =
+        s.reading_section + 3 < sections
+            ? g.KeyPointSegment(s.track, s.reading_section + 3) - 1
+            : g.track_start(s.track + 1) - 1;
 
     const tape::SegmentId dst = in_seg_[c];
-    const int track_d = g.TrackOf(dst);
-    const int r_d = g.ReadingSectionOf(dst);
-    const double p_d = g.PhysicalPosition(dst);
+    const tape::TapeGeometry::Locus d = g.LocusOf(dst);
+    const int track_d = d.track;
+    const int r_d = d.reading_section;
+    const double p_d = d.position;
     in_track_[c] = track_d;
     in_rsec_[c] = r_d;
     in_ppos_[c] = p_d;
+    read_forward_begin_[c] = g.KeyPointSegment(track_d, std::max(0, r_d - 2));
     // Key point two before the destination, clamped to the beginning of
     // the track (locate_model.cc PlanLocate), and its read-forward leg.
     const int r_kp = std::max(0, r_d - 1);

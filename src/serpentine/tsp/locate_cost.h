@@ -68,6 +68,34 @@ class LocateCostSoA {
     return LocateSeconds(i, j);
   }
 
+  // Lower bounds for the LOSS solver's pruned neighbour search (the
+  // tsp::BoundedCosts interface of loss_solver.h), kernel path only. A
+  // locate that is not read-forward (case 1) reads from the destination's
+  // key point, scans from the source's position to that key point and
+  // then adds non-negative terms, so with d = |in_key(j) - out_key(i)| it
+  // costs at least
+  //   LowerBound(j, d) = read leg of j + LowerBound(d)  >=  LowerBound(d)
+  // — the kernel's own partial sum, evaluated the same way, so the bounds
+  // hold bit for bit. Read-forward locates from i reach exactly the
+  // in-positions [out_position(i), read_forward_end(i)]: i's own track up
+  // to the end of reading section r_s + 2. Seen from the destination, the
+  // sources [read_forward_begin(j), in_position(j)] reach j that way.
+  bool has_lower_bound() const { return fast_; }
+  double out_key(int i) const { return out_ppos_[i]; }
+  double in_key(int j) const { return in_kp_ppos_[j]; }
+  double LowerBound(double key_distance) const {
+    return scan_overhead_seconds_ + key_distance * scan_seconds_per_section_;
+  }
+  double LowerBound(int j, double key_distance) const {
+    return in_kp_read_seconds_[j] + LowerBound(key_distance);
+  }
+  tape::SegmentId read_forward_end(int i) const {
+    return read_forward_end_[i];
+  }
+  tape::SegmentId read_forward_begin(int j) const {
+    return read_forward_begin_[j];
+  }
+
  private:
   /// Bit-identical reimplementation of Dlt4000LocateModel::LocateSeconds
   /// over the precomputed arrays (see locate_model.cc PlanLocate): the
@@ -117,6 +145,8 @@ class LocateCostSoA {
   /// |p_dst - p_kp| * read_seconds_per_section, precomputed once per city.
   std::vector<double> in_kp_read_seconds_;
   std::vector<char> out_forward_;
+  std::vector<tape::SegmentId> read_forward_end_;
+  std::vector<tape::SegmentId> read_forward_begin_;
 
   double read_seconds_per_section_ = 0.0;
   double scan_seconds_per_section_ = 0.0;

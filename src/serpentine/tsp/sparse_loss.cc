@@ -3,30 +3,10 @@
 #include <algorithm>
 
 #include "serpentine/tsp/loss.h"
+#include "serpentine/tsp/loss_solver.h"
 #include "serpentine/util/check.h"
 
 namespace serpentine::tsp {
-namespace {
-
-class UnionFind {
- public:
-  explicit UnionFind(int n) : parent_(n) {
-    for (int i = 0; i < n; ++i) parent_[i] = i;
-  }
-  int Find(int x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void Union(int a, int b) { parent_[Find(a)] = Find(b); }
-
- private:
-  std::vector<int> parent_;
-};
-
-}  // namespace
 
 std::vector<int> SolveSparseLossPath(
     int n, const std::vector<std::vector<SparseEdge>>& out_edges,
@@ -43,11 +23,14 @@ std::vector<int> SolveSparseLossPath(
 
   std::vector<int> out_choice(n, -1);
   std::vector<int> in_choice(n, -1);
-  UnionFind fragments(n);
+  FragmentEnds fragments(n);
 
+  // u→v needs u to be a fragment tail and v a head other than the start;
+  // it closes a cycle exactly when v heads u's own fragment (which also
+  // rules out u == v).
   auto available = [&](int u, int v) {
-    return u != v && v != 0 && out_choice[u] < 0 && in_choice[v] < 0 &&
-           fragments.Find(u) != fragments.Find(v);
+    return v != 0 && out_choice[u] < 0 && in_choice[v] < 0 &&
+           fragments.head_of(u) != v;
   };
 
   // Sparse LOSS phase: per iteration pick, among candidate edges only, the
@@ -84,7 +67,7 @@ std::vector<int> SolveSparseLossPath(
     if (best_u < 0) break;  // LOSS "can proceed no further" on this graph
     out_choice[best_u] = best_v;
     in_choice[best_v] = best_u;
-    fragments.Union(best_u, best_v);
+    fragments.Join(best_u, best_v);
     if (stats != nullptr) ++stats->sparse_commits;
   }
 

@@ -1,5 +1,6 @@
 #include "serpentine/tsp/locate_cost.h"
 
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +124,103 @@ TEST_F(LocateCostSoATest, HelicalModelUsesFallback) {
       EXPECT_EQ(soa.LocateSeconds(i, j), helical.LocateSeconds(out[i], in[j]));
     }
   }
+}
+
+/// Checks the LOSS solver's bound contract on every (i, j) pair of `soa`:
+/// read-forward locates lie in both windows, and every other locate costs
+/// at least LowerBound(j, d) >= LowerBound(d), bit for bit.
+void ExpectBoundsHold(const tape::Dlt4000LocateModel& model,
+                      const LocateCostSoA& soa, int* read_forward,
+                      int* bounded) {
+  ASSERT_TRUE(soa.has_lower_bound());
+  for (int i = 0; i < soa.size(); ++i) {
+    for (int j = 0; j < soa.size(); ++j) {
+      const SegmentId src = soa.out_position(i);
+      const SegmentId dst = soa.in_position(j);
+      const bool in_out_window =
+          dst >= src && dst <= soa.read_forward_end(i);
+      const bool in_in_window =
+          src >= soa.read_forward_begin(j) && src <= dst;
+      // Both windows hold exactly the read-forward (case 1) locates.
+      const bool case1 =
+          model.Classify(src, dst) == tape::LocateCase::kReadForward;
+      ASSERT_EQ(in_out_window, case1) << "src=" << src << " dst=" << dst;
+      ASSERT_EQ(in_in_window, case1) << "src=" << src << " dst=" << dst;
+      if (case1) {
+        ++*read_forward;
+        continue;
+      }
+      const double d = std::abs(soa.in_key(j) - soa.out_key(i));
+      const double seconds = model.LocateSeconds(src, dst);
+      ASSERT_LE(soa.LowerBound(d), soa.LowerBound(j, d));
+      ASSERT_LE(soa.LowerBound(j, d), seconds)
+          << "src=" << src << " dst=" << dst;
+      ++*bounded;
+    }
+  }
+}
+
+TEST_F(LocateCostSoATest, LowerBoundNeverExceedsTheKernel) {
+  // Random endpoints: track switches, reversals and every locate case.
+  std::vector<SegmentId> out;
+  std::vector<SegmentId> in;
+  RandomEndpoints(200, 17, &out, &in);
+  // Equal source and destination positions (a zero-second locate).
+  out.push_back(12345);
+  in.push_back(12345);
+  const tape::TapeGeometry& g = model_.geometry();
+  for (int t = 0; t < g.num_tracks(); t += 7) {
+    // Key-point clamps: destinations in reading sections 0 and 1, and
+    // sources just behind them on the same track.
+    for (int r = 0; r < 3; ++r) {
+      const SegmentId k = g.KeyPointSegment(t, r);
+      in.push_back(k);
+      out.push_back(k + 1);
+      in.push_back(k + 2);
+      out.push_back(k > 0 ? k - 1 : 0);
+    }
+    // The last segments of a track, where read-forward windows end.
+    const SegmentId end = g.track_start(t + 1) - 1;
+    in.push_back(end);
+    out.push_back(end - 3);
+  }
+  LocateCostSoA soa(model_, out, in);
+  int read_forward = 0;
+  int bounded = 0;
+  ExpectBoundsHold(model_, soa, &read_forward, &bounded);
+  EXPECT_GT(read_forward, soa.size());  // at least the diagonal's share
+  EXPECT_GT(bounded, soa.size() * soa.size() / 2);
+}
+
+TEST_F(LocateCostSoATest, LowerBoundHoldsOnDenseBands) {
+  // Dense single-band batches put many destinations in each source's
+  // read-forward window and many equal key distances side by side.
+  Lrand48 rng(29);
+  for (int trial = 0; trial < 8; ++trial) {
+    const SegmentId total = model_.geometry().total_segments();
+    const SegmentId start = rng.NextBounded(total - 20000);
+    std::vector<SegmentId> out;
+    std::vector<SegmentId> in;
+    for (int k = 0; k < 96; ++k) {
+      const SegmentId s = start + rng.NextBounded(20000);
+      in.push_back(s);
+      out.push_back(s + 1 + rng.NextBounded(3));
+    }
+    LocateCostSoA soa(model_, out, in);
+    int read_forward = 0;
+    int bounded = 0;
+    ExpectBoundsHold(model_, soa, &read_forward, &bounded);
+    EXPECT_GT(read_forward, 0);
+    EXPECT_GT(bounded, 0);
+  }
+}
+
+TEST_F(LocateCostSoATest, FallbackHasNoBound) {
+  std::vector<SegmentId> out;
+  std::vector<SegmentId> in;
+  RandomEndpoints(4, 9, &out, &in);
+  tape::CachedLocateModel cached(model_, 16);
+  EXPECT_FALSE(LocateCostSoA(cached, out, in).has_lower_bound());
 }
 
 TEST_F(LocateCostSoATest, ExposesEndpointPositions) {

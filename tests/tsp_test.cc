@@ -140,7 +140,7 @@ TEST(LossTest, StatsCountIterations) {
   LossStats stats;
   SolveLossPathWithStats(m, &stats);
   EXPECT_EQ(stats.iterations, 19);
-  EXPECT_GT(stats.row_rescans, 0);
+  EXPECT_GT(stats.edges_priced, 0);
 }
 
 TEST(SparseLossTest, DegeneratesToSingleCity) {

@@ -4,7 +4,9 @@
 //
 // Reads a batch of segment numbers (arguments, --stdin, or --random=N),
 // schedules it with the chosen algorithm against a simulated cartridge,
-// and prints the service order with per-step locate estimates plus a
+// and prints the service order step by step — how the drive reaches each
+// request (locate, stream or from the pass already read) and the modeled
+// seconds of its locate and read legs, which sum to the estimate — plus a
 // comparison against FIFO service.
 //
 // Options:
@@ -21,7 +23,7 @@
 //                      workload/trace_io.h for the format)
 //   --improve          apply Or-opt local search to the schedule
 //   --rewind           charge a rewind after the last read
-//   --explain          show each locate's model case and scan/read split
+//   --explain          show each locate step's model case and scan/read split
 //   --quiet            print only the summary
 //   --fault-profile=P  execute the schedule under fault injection and
 //                      report recovery accounting. P is none|light|heavy
@@ -69,6 +71,7 @@
 //                      compare the schedule estimate under the proposed
 //                      layout against the current one (docs/placement.md)
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,6 +90,7 @@
 #include "serpentine/sched/local_search.h"
 #include "serpentine/sched/registry.h"
 #include "serpentine/sched/scheduler.h"
+#include "serpentine/sched/step_planner.h"
 #include "serpentine/drive/fault_injector.h"
 #include "serpentine/fleet/fleet_server.h"
 #include "serpentine/layout/heat_map.h"
@@ -132,6 +136,18 @@ struct Args {
   bool optimize_layout = false;
   std::vector<tape::SegmentId> segments;
 };
+
+const char* StepKindName(sched::StepKind kind) {
+  switch (kind) {
+    case sched::StepKind::kLocate:
+      return "locate";
+    case sched::StepKind::kStream:
+      return "stream";
+    case sched::StepKind::kFromPass:
+      return "from-pass";
+  }
+  return "?";
+}
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -309,35 +325,53 @@ int main(int argc, char** argv) {
   sched::EstimateOptions estimate_options;
   estimate_options.rewind_at_end = args.rewind;
 
-  if (!args.quiet && !schedule->full_tape_scan) {
-    if (args.explain) {
-      std::printf("# step  segment  track/sec  locate_s  case                "
-                  "scan_s  read_s\n");
-    } else {
-      std::printf("# step  segment  track/sec  locate_s\n");
+  double scheduled =
+      sched::EstimateScheduleSeconds(cached, *schedule, estimate_options);
+  if (!schedule->full_tape_scan) {
+    // Walk the order with the estimator's own step rule: each request is a
+    // locate, a stream through a short forward gap, or a delivery from the
+    // span the pass already read. The printed legs must sum to the
+    // estimate, or the table would describe a different schedule.
+    if (!args.quiet) {
+      std::printf(
+          "# step  segment  track/sec  kind       locate_s   read_s%s\n",
+          args.explain ? "  case                scan_s  leg_read_s" : "");
     }
-    tape::SegmentId pos = args.initial;
-    int step = 0;
+    sched::StepPlanner planner(cached, args.initial,
+                               estimate_options.include_reads);
+    double locate_seconds = 0.0;
+    double read_seconds = 0.0;
+    int step_number = 0;
     for (const sched::Request& r : schedule->order) {
+      const tape::SegmentId head = planner.head();
+      const sched::Step step = planner.Next(r);
+      locate_seconds += step.locate_seconds;
+      read_seconds += step.read_seconds;
+      if (args.quiet) continue;
       tape::Coord c = g.ToCoord(r.segment);
-      if (args.explain) {
-        auto b = model.ExplainLocate(pos, r.segment);
-        std::printf("%6d %8lld %6d/%-3d %9.2f  %-19s %6.1f %7.1f\n", ++step,
-                    static_cast<long long>(r.segment), c.track,
-                    c.physical_section, b.total_seconds,
-                    tape::LocateCaseName(b.locate_case), b.scan_seconds,
-                    b.read_seconds);
-      } else {
-        std::printf("%6d %8lld %6d/%-3d %9.2f\n", ++step,
-                    static_cast<long long>(r.segment), c.track,
-                    c.physical_section, model.LocateSeconds(pos, r.segment));
+      std::printf("%6d %8lld %6d/%-3d %-9s %9.2f %8.2f", ++step_number,
+                  static_cast<long long>(r.segment), c.track,
+                  c.physical_section, StepKindName(step.kind),
+                  step.locate_seconds, step.read_seconds);
+      if (args.explain && step.kind == sched::StepKind::kLocate) {
+        auto b = model.ExplainLocate(head, r.segment);
+        std::printf("  %-19s %6.1f %11.1f", tape::LocateCaseName(b.locate_case),
+                    b.scan_seconds, b.read_seconds);
       }
-      pos = sched::OutPosition(g, r);
+      std::printf("\n");
+    }
+    const double rewind_seconds =
+        estimate_options.rewind_at_end ? cached.RewindSeconds(planner.head())
+                                       : 0.0;
+    const double walked = locate_seconds + read_seconds + rewind_seconds;
+    if (std::abs(walked - scheduled) > 1e-6) {
+      std::fprintf(stderr,
+                   "step legs sum to %.9f s but the estimate is %.9f s\n",
+                   walked, scheduled);
+      return 1;
     }
   }
 
-  double scheduled =
-      sched::EstimateScheduleSeconds(cached, *schedule, estimate_options);
   auto fifo =
       sched::BuildSchedule(cached, args.initial, requests,
                            sched::Algorithm::kFifo);
