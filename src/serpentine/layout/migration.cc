@@ -6,8 +6,10 @@
 #include <unordered_map>
 #include <utility>
 
+#include "serpentine/drive/model_drive.h"
 #include "serpentine/sched/estimator.h"
 #include "serpentine/sim/executor.h"
+#include "serpentine/sim/recovering_executor.h"
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
 #include "serpentine/util/status.h"
@@ -44,23 +46,17 @@ std::vector<std::pair<tape::SegmentId, tape::SegmentId>> DestinationRuns(
   return runs;
 }
 
-// Write-leg cost of `runs` from head position `position` on the model:
-// per run, one locate plus a streaming transfer at the read rate (the
-// transport writes at the same speed it reads). Returns the cost and
-// leaves `position` past the last run.
-double WriteLegSeconds(const tape::LocateModel& model,
-                       const std::vector<std::pair<tape::SegmentId,
-                                                   tape::SegmentId>>& runs,
-                       tape::SegmentId* position) {
-  const tape::SegmentId last =
-      model.geometry().total_segments() - 1;
-  double seconds = 0.0;
-  for (const auto& [start, end] : runs) {
-    if (*position != start) seconds += model.LocateSeconds(*position, start);
-    seconds += model.ReadSeconds(start, end);
-    *position = std::min<tape::SegmentId>(end + 1, last);
+// A batch's write leg from head position `position`: its destination runs,
+// ascending, as one schedule (the transport writes at the speed it reads,
+// so a run costs what reading it does).
+sched::Schedule WriteLeg(const std::vector<int64_t>& groups,
+                         const Placement& target, tape::SegmentId position) {
+  sched::Schedule leg;
+  leg.initial_position = position;
+  for (const auto& [start, end] : DestinationRuns(groups, target)) {
+    leg.order.push_back(sched::Request{start, end - start + 1});
   }
-  return seconds;
+  return leg;
 }
 
 }  // namespace
@@ -110,8 +106,8 @@ StatusOr<MigrationPlan> PlanMigration(const tape::Dlt4000LocateModel& model,
     batch.reads = std::move(schedule).value();
     batch.read_seconds = read_result.total_seconds;
     position = read_result.final_position;
-    batch.write_seconds = WriteLegSeconds(
-        model, DestinationRuns(batch.groups, target), &position);
+    batch.write_seconds = sched::EstimateScheduleSeconds(
+        model, WriteLeg(batch.groups, target, position), {}, &position);
     plan.segments += batch.segments;
     plan.estimated_seconds += batch.read_seconds + batch.write_seconds;
     plan.batches.push_back(std::move(batch));
@@ -124,17 +120,11 @@ MigrationExecution ExecuteMigration(drive::Drive& drive,
                                     const Placement& target) {
   MigrationExecution exec;
   for (const MigrationBatch& batch : plan.batches) {
-    sim::ExecutionResult reads = sim::ExecuteSchedule(drive, batch.reads);
-    exec.read_seconds += reads.total_seconds;
-    for (const auto& [start, end] : DestinationRuns(batch.groups, target)) {
-      if (drive.Position() != start) {
-        drive::OpResult locate = drive.Locate(start);
-        exec.write_seconds += locate.times.total();
-      }
-      // Streaming write modeled at the transport's read rate.
-      drive::OpResult transfer = drive.ReadSegments(start, end);
-      exec.write_seconds += transfer.times.total();
-    }
+    exec.read_seconds += sim::ExecuteSchedule(drive, batch.reads).total_seconds;
+    exec.write_seconds +=
+        sim::ExecuteSchedule(drive,
+                             WriteLeg(batch.groups, target, drive.Position()))
+            .total_seconds;
     exec.segments += batch.segments;
     ++exec.batches;
   }
@@ -185,6 +175,7 @@ StatusOr<InterleavedResult> RunInterleavedMigration(
           ? plan.estimated_seconds / static_cast<double>(plan.moved_groups)
           : 0.0;
 
+  drive::ModelDrive drive(model);
   InterleavedResult result;
   std::vector<double> responses;
   responses.reserve(arrivals.size());
@@ -215,18 +206,21 @@ StatusOr<InterleavedResult> RunInterleavedMigration(
           model, position, std::move(requests), (*entry)->options);
       if (!schedule.ok()) return schedule.status();
       double start = clock;
-      for (const sched::Request& r : schedule.value().order) {
-        if (position != r.segment) {
-          clock += model.LocateSeconds(position, r.segment);
-        }
-        clock += model.ReadSeconds(r.segment, r.segment + r.count - 1);
-        position = sched::OutPosition(geometry, r);
-        std::deque<double>& q = waiting[r.segment];
-        SERPENTINE_CHECK(!q.empty());
-        responses.push_back(clock - q.front());
-        q.pop_front();
-        ++result.foreground_completed;
-      }
+      // A full-tape pass starts at BOT.
+      if (schedule->full_tape_scan) clock += model.LocateSeconds(position, 0);
+      sim::RecoveringExecutionResult run =
+          sim::RecoveringExecutor(drive, model)
+              .Execute(*schedule,
+                       [&](const sched::Request& r, double step, bool) {
+                         clock += step;
+                         std::deque<double>& q = waiting[r.segment];
+                         SERPENTINE_CHECK(!q.empty());
+                         responses.push_back(clock - q.front());
+                         q.pop_front();
+                         ++result.foreground_completed;
+                       });
+      clock += run.tail_seconds;
+      position = run.final_position;
       result.foreground_seconds += clock - start;
       pending.clear();
       continue;
@@ -260,11 +254,11 @@ StatusOr<InterleavedResult> RunInterleavedMigration(
           model, position, std::move(reads), (*entry)->options);
       if (!schedule.ok()) return schedule.status();
       sim::ExecutionResult reads_result =
-          sim::ExecuteSchedule(model, schedule.value());
-      double slice_seconds = reads_result.total_seconds;
-      position = reads_result.final_position;
-      slice_seconds += WriteLegSeconds(
-          model, DestinationRuns(groups, target), &position);
+          sim::ExecuteSchedule(drive, schedule.value());
+      sim::ExecutionResult writes = sim::ExecuteSchedule(
+          drive, WriteLeg(groups, target, reads_result.final_position));
+      double slice_seconds = reads_result.total_seconds + writes.total_seconds;
+      position = writes.final_position;
       clock += slice_seconds;
       result.migration_seconds += slice_seconds;
       continue;

@@ -6,10 +6,11 @@
 // from their current homes — ordered by a sched::Registry algorithm, so
 // the read leg benefits from the same locate-aware scheduling as
 // foreground traffic — then streams them out to their destination slots
-// (contiguous destination runs cost one locate plus a sequential
-// transfer, the same rate as a read; serpentine drives write and read at
-// the transport speed). RunInterleavedMigration additionally shares the
-// drive with foreground Poisson traffic under a three-rung ladder
+// (contiguous destination runs, ascending, as one more schedule: a write
+// moves the transport at the read speed). Every leg, foreground batches
+// included, runs through sim::RecoveringExecutor and is priced by
+// sched::EstimateScheduleSeconds. RunInterleavedMigration additionally
+// shares the drive with foreground Poisson traffic under a three-rung ladder
 // (full/half/quarter slices by expected arrivals per slice), the layout
 // loop's analog of the online server's degradation ladder
 // (docs/placement.md).
@@ -72,9 +73,8 @@ struct MigrationExecution {
   int64_t batches = 0;
 };
 
-/// Executes `plan` on `drive`: each batch's read schedule through the
-/// standard executor, then one locate + streaming transfer per contiguous
-/// destination run. Assumes a fault-free stack (like sim::ExecuteSchedule).
+/// Executes `plan` on `drive`: each batch's read schedule, then its
+/// destination runs, through sim::ExecuteSchedule.
 MigrationExecution ExecuteMigration(drive::Drive& drive,
                                     const MigrationPlan& plan,
                                     const Placement& target);

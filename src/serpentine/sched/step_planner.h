@@ -2,8 +2,9 @@
 //
 // A schedule's `order` is the delivery permutation; how the drive gets the
 // head over each request is decided here, once, for every consumer that
-// walks a schedule (the estimator, both executors, the serving core, the
-// pipeline's head prediction, wear accounting). The head either skips a
+// walks a schedule: sim::RecoveringExecutor, the one code path that runs a
+// schedule on a drive, and the estimator, the pipeline's head prediction
+// and wear accounting, which only price steps. The head either skips a
 // gap or reads through it (the linear-tape cost model of Cardonha & Villa
 // Real frames it the same way), and whatever a pass has already read can
 // be delivered again without moving:

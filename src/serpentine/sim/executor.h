@@ -32,10 +32,11 @@ struct ExecutionResult {
   }
 };
 
-/// Runs `schedule` against `drive` (the stateful drive stack) and returns
-/// the breakdown. With a PhysicalDrive at the base this is the paper's
-/// "measured" execution time; with the scheduler's own model it equals the
-/// estimate bit for bit. The head is first aligned (at zero cost) with the
+/// Runs `schedule` against `drive` (the stateful drive stack) through
+/// RecoveringExecutor with default recovery and returns the breakdown.
+/// With a PhysicalDrive at the base this is the paper's "measured"
+/// execution time; with the scheduler's own model it equals the estimate
+/// bit for bit. The head is first aligned (at zero cost) with the
 /// schedule's planned start — schedules are built from the live head
 /// position, so this is normally a no-op. Each request is serviced by the
 /// step sched::StepPlanner picks: a locate and read, a stream through the
@@ -43,19 +44,17 @@ struct ExecutionResult {
 /// the steps (the scheduler's belief); null plans with the drive's own
 /// model. A full-tape scan delivers every request after the pass. An empty
 /// schedule (no requests, not a full-tape scan) executes as a no-op and
-/// returns a zeroed result with final_position == initial_position.
-///
-/// Assumes a fault-free stack: non-kOk op results are not retried (use
-/// RecoveringExecutor to run FaultDrive stacks).
+/// returns a zeroed result with final_position == initial_position. On a
+/// fault-injecting stack it recovers as the executor does; use
+/// RecoveringExecutor directly for the fault tallies.
 ExecutionResult ExecuteSchedule(drive::Drive& drive,
                                 const sched::Schedule& schedule,
                                 const sched::EstimateOptions& options = {},
                                 const tape::LocateModel* planning_model =
                                     nullptr);
 
-/// Model shim: executes against a throwaway ModelDrive over `model`.
-/// Bit-identical to the drive path (the ModelDrive charges exactly the
-/// model's numbers in the same order).
+/// Model shim: executes against a throwaway ModelDrive over `model`
+/// (which charges exactly the model's numbers).
 ExecutionResult ExecuteSchedule(const tape::LocateModel& model,
                                 const sched::Schedule& schedule,
                                 const sched::EstimateOptions& options = {},

@@ -22,26 +22,24 @@
 // planned with the scheduling model; a delivery fault abandons only its
 // request, and any fault that moves the head ends the current pass.
 //
-// On a fault-free stack (no FaultDrive, a null injector, or an all-zero
-// FaultProfile) the executor reproduces sim::ExecuteSchedule bit for bit,
-// so the paper's figures are unchanged by default; a test pins this golden
-// equality.
+// This is the one code path that walks a schedule against a drive:
+// sim::ExecuteSchedule, the serving core, the store's flush and the
+// interleaved migration all run their schedules through it. On a
+// fault-free stack (no FaultDrive, a null injector, or an all-zero
+// FaultProfile) its totals equal sched::EstimateScheduleSeconds bit for
+// bit, so the paper's figures are unchanged by default.
 #ifndef SERPENTINE_SIM_RECOVERING_EXECUTOR_H_
 #define SERPENTINE_SIM_RECOVERING_EXECUTOR_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "serpentine/drive/drive.h"
-#include "serpentine/drive/fault_drive.h"
-#include "serpentine/drive/model_drive.h"
 #include "serpentine/sched/estimator.h"
 #include "serpentine/sched/request.h"
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/sim/executor.h"
-#include "serpentine/drive/fault_injector.h"
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/util/retry.h"
 
@@ -91,6 +89,11 @@ struct RecoveringExecutionResult : ExecutionResult {
 
   /// Requests that were serviced successfully.
   int64_t requests_serviced = 0;
+
+  /// Drive seconds after the last completion callback: the rest of a
+  /// full-tape pass, a final rewind. A caller that adds every callback's
+  /// step_seconds and then this has advanced its clock by the run.
+  double tail_seconds = 0.0;
 };
 
 /// Executes schedules under fault injection with bounded recovery.
@@ -99,45 +102,35 @@ class RecoveringExecutor {
   /// `drive` is the stateful execution stack — typically
   /// FaultDrive(ModelDrive(model)), but any stack works and a stack with
   /// no fault layer simply never needs recovery. `scheduling_model` is the
-  /// believed model consulted when rescheduling mid-batch (schedulers must
-  /// never consult the physical drive directly).
+  /// believed model: it plans every step and re-plans the remainder
+  /// mid-batch (schedulers must never consult the physical drive
+  /// directly). Both must outlive the executor.
   RecoveringExecutor(drive::Drive& drive,
                      const tape::LocateModel& scheduling_model,
                      RecoveryOptions options = {});
 
-  /// Model shim: builds and owns a FaultDrive(ModelDrive(`drive`)) stack.
-  /// `injector` may be null, which disables fault injection entirely.
-  RecoveringExecutor(const tape::LocateModel& drive,
-                     const tape::LocateModel& scheduling_model,
-                     drive::FaultInjector* injector, RecoveryOptions options = {});
-
-  /// Convenience: schedule repairs consult the execution drive's model.
-  RecoveringExecutor(const tape::LocateModel& drive, drive::FaultInjector* injector,
-                     RecoveryOptions options = {})
-      : RecoveringExecutor(drive, drive, injector, std::move(options)) {}
-
-  /// Per-request completion callback: `at_seconds` is the virtual time
-  /// offset from execution start; `ok` is false for abandoned requests.
+  /// Per-request completion callback. `step_seconds` is the drive time
+  /// spent since the previous callback (or since Execute began), recovery
+  /// included: adding each to a running clock stamps the request's
+  /// completion. A full-tape scan reports its deliveries in pass order,
+  /// each at the point the head passes the request's last segment. `ok`
+  /// is false for abandoned requests.
   using StepCallback =
-      std::function<void(const sched::Request&, double at_seconds, bool ok)>;
+      std::function<void(const sched::Request&, double step_seconds, bool ok)>;
 
   /// Runs `schedule` to completion (every request serviced or abandoned).
+  /// The head is first aligned, at no cost, with the schedule's planned
+  /// start. A full-tape scan streams from BOT wherever the head is; a
+  /// caller that models moving the head home first charges that locate
+  /// itself.
   RecoveringExecutionResult Execute(const sched::Schedule& schedule) const;
   RecoveringExecutionResult Execute(const sched::Schedule& schedule,
                                     const StepCallback& on_step) const;
 
  private:
-  RecoveringExecutionResult ExecuteFullScan(const sched::Schedule& schedule,
-                                            const StepCallback& on_step) const;
-
-  drive::Drive* drive_;  // borrowed or owned_fault_/owned_base_ below
+  drive::Drive& drive_;
   const tape::LocateModel& scheduling_model_;
   RecoveryOptions options_;
-  // Backing stack for the model-based shim constructors. Execute() is
-  // const but drives are stateful; the stack is rebuilt per-Execute state
-  // anyway (position is realigned), so mutation through these is benign.
-  std::unique_ptr<drive::ModelDrive> owned_base_;
-  std::unique_ptr<drive::FaultDrive> owned_fault_;
 };
 
 }  // namespace serpentine::sim

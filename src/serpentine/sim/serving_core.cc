@@ -11,7 +11,6 @@
 #include "serpentine/obs/metrics.h"
 #include "serpentine/obs/trace.h"
 #include "serpentine/sched/estimator.h"
-#include "serpentine/sched/step_planner.h"
 #include "serpentine/sim/recovering_executor.h"
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
@@ -521,25 +520,6 @@ void ServingCore::SwitchCartridge(int cartridge) {
 void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
                                const sched::Schedule& schedule) {
   const tape::LocateModel& model = *models_[mounted_];
-  const tape::TapeGeometry& g = model.geometry();
-  drive::Drive& drive = *drive_;
-
-  // Reissues an op refused by an open breaker: the refusal charged the
-  // remaining cooldown, so the retry is the admitted half-open probe. Used
-  // by the fault-free execution paths (the recovering executor handles
-  // kCircuitOpen itself); with the breaker disarmed this is a straight
-  // pass-through that adds nothing to the arithmetic.
-  auto through_breaker = [&](auto issue) {
-    drive::OpResult op = issue();
-    if (op.status == drive::OpStatus::kCircuitOpen) {
-      result_.breaker_wait_seconds += op.retry_after_seconds;
-      result_.recovery_seconds += op.times.recovery_seconds;
-      clock_ += op.times.recovery_seconds;
-      result_.drive_busy_seconds += op.times.recovery_seconds;
-      op = issue();
-    }
-    return op;
-  };
 
   // Completion matching by segment, with deadline-miss accounting layered
   // on. Duplicates resolve to the oldest unmatched member — the
@@ -574,68 +554,32 @@ void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
     if (on_complete_) on_complete_(members[i], at, ok);
   };
 
-  if (injector_ != nullptr) {
-    RecoveryOptions recovery;
-    recovery.retry = config_.fault_retry;
-    recovery.scheduler_options = config_.scheduler_options;
-    RecoveringExecutor executor(drive, model, recovery);
-    double base = clock_;
-    if (schedule.full_tape_scan) {
-      double lead = model.LocateSeconds(drive.Position(), 0);
-      base += lead;
-      clock_ += lead;
-      result_.drive_busy_seconds += lead;
-    }
-    RecoveringExecutionResult res = executor.Execute(
-        schedule, [&](const sched::Request& req, double at, bool ok) {
-          complete(req.segment, base + at, ok);
-        });
-    clock_ += res.total_seconds;
-    result_.drive_busy_seconds += res.total_seconds;
-    result_.fault_retries += res.retries;
-    result_.drive_resets += res.drive_resets;
-    result_.reschedules += res.reschedules;
-    result_.permanent_errors += res.permanent_errors;
-    result_.recovery_seconds += res.recovery_seconds;
-    result_.breaker_wait_seconds += res.breaker_wait_seconds;
-  } else if (schedule.full_tape_scan) {
-    double pass_start = clock_ + model.LocateSeconds(drive.Position(), 0);
-    double busy =
-        through_breaker([&] { return drive.Locate(0); }).times.locate_seconds;
-    busy += through_breaker([&] {
-              return drive.ScanSegments(0, g.total_segments() - 1);
-            }).times.read_seconds;
-    busy += drive.Rewind().times.rewind_seconds;
-    for (const ServingRequest& m : members) {
-      complete(m.segment, pass_start + model.ReadSeconds(0, m.segment),
-               /*ok=*/true);
-    }
-    clock_ += busy;
-    result_.drive_busy_seconds += busy;
-  } else {
-    sched::StepPlanner planner(model, drive.Position());
-    for (const sched::Request& r : schedule.order) {
-      const sched::Step plan = planner.Next(r);
-      double step = 0.0;
-      if (plan.kind == sched::StepKind::kLocate) {
-        step = through_breaker([&] { return drive.Locate(r.segment); })
-                   .times.locate_seconds;
-        step += through_breaker([&] {
-                  return drive.ReadSegments(r.segment, r.last());
-                }).times.read_seconds;
-      } else {
-        if (plan.scans(r)) {
-          step = through_breaker([&] {
-                   return drive.ScanSegments(plan.scan_from, r.last());
-                 }).times.read_seconds;
-        }
-        through_breaker([&] { return drive.DeliverSpan(r.segment, r.last()); });
-      }
-      clock_ += step;
-      result_.drive_busy_seconds += step;
-      complete(r.segment, clock_, /*ok=*/true);
-    }
+  auto spend = [&](double seconds) {
+    clock_ += seconds;
+    result_.drive_busy_seconds += seconds;
+  };
+  // A full-tape pass starts at BOT.
+  if (schedule.full_tape_scan) {
+    spend(model.LocateSeconds(drive_->Position(), 0));
   }
+
+  RecoveryOptions recovery;
+  recovery.retry = config_.fault_retry;
+  recovery.scheduler_options = config_.scheduler_options;
+  RecoveringExecutionResult res =
+      RecoveringExecutor(*drive_, model, recovery)
+          .Execute(schedule,
+                   [&](const sched::Request& req, double step, bool ok) {
+                     spend(step);
+                     complete(req.segment, clock_, ok);
+                   });
+  spend(res.tail_seconds);
+  result_.fault_retries += res.retries;
+  result_.drive_resets += res.drive_resets;
+  result_.reschedules += res.reschedules;
+  result_.permanent_errors += res.permanent_errors;
+  result_.recovery_seconds += res.recovery_seconds;
+  result_.breaker_wait_seconds += res.breaker_wait_seconds;
 }
 
 void ServingCore::FinishResult() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "serpentine/sched/estimator.h"
+#include "serpentine/sim/recovering_executor.h"
 #include "serpentine/util/check.h"
 
 namespace serpentine::store {
@@ -155,54 +156,41 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
 
   // The paper's crossover: beyond ~1536 uniform requests a LOSS schedule
   // is no faster than reading the whole tape.
-  bool full_scan = false;
-  if (options_.auto_full_read) {
-    double scheduled = sched::EstimateScheduleSeconds(model, schedule);
-    if (scheduled > model.FullReadAndRewindSeconds()) full_scan = true;
-  }
-
-  if (full_scan) {
+  if (options_.auto_full_read &&
+      sched::EstimateScheduleSeconds(model, schedule) >
+          model.FullReadAndRewindSeconds()) {
     ++report->full_scans;
-    // One sequential pass: each request completes when the head sweeps
-    // past its last segment. FullScan() charges the locate home itself.
-    double pass_start =
-        library_.now() +
-        model.LocateSeconds(library_.head_position(), 0);
-    SERPENTINE_ASSIGN_OR_RETURN(double scan_seconds, library_.FullScan());
-    (void)scan_seconds;
-    for (const PendingRead& p : batch) {
-      double complete =
-          pass_start + model.ReadSeconds(0, p.request.last());
-      report->completed.push_back(CompletedRead{
-          p.id, tape, p.request, p.submit_seconds, complete, false});
-      for (int64_t i = 0; i < p.request.count && i < 64; ++i) {
-        cache_.Insert(CacheKey{tape, p.request.segment + i});
-      }
-    }
-    return OkStatus();
+    schedule.full_tape_scan = true;
   }
 
-  // Execute the schedule request by request so each completion gets its
-  // own timestamp.
+  // Run the schedule on the mounted drive; each completion is stamped
+  // when its step ends (a full-tape pass first moves the head home).
+  drive::Drive& drive = *library_.mounted_drive();
+  double lead = schedule.full_tape_scan
+                    ? model.LocateSeconds(drive.Position(), 0)
+                    : 0.0;
+  double clock = library_.now() + lead;
   std::map<std::pair<tape::SegmentId, int64_t>, std::vector<size_t>>
       by_request;
   for (size_t i = 0; i < batch.size(); ++i) {
     by_request[{batch[i].request.segment, batch[i].request.count}]
         .push_back(i);
   }
-  for (const sched::Request& r : schedule.order) {
-    SERPENTINE_RETURN_IF_ERROR(library_.LocateTo(r.segment).status());
-    SERPENTINE_RETURN_IF_ERROR(library_.ReadForward(r.count).status());
-    auto& ids = by_request[{r.segment, r.count}];
-    SERPENTINE_CHECK(!ids.empty());
-    const PendingRead& p = batch[ids.back()];
-    ids.pop_back();
-    report->completed.push_back(CompletedRead{
-        p.id, tape, p.request, p.submit_seconds, library_.now(), false});
-    for (int64_t i = 0; i < r.count && i < 64; ++i) {
-      cache_.Insert(CacheKey{tape, r.segment + i});
-    }
-  }
+  sim::RecoveringExecutionResult run =
+      sim::RecoveringExecutor(drive, model)
+          .Execute(schedule, [&](const sched::Request& r, double step, bool) {
+            clock += step;
+            auto& ids = by_request[{r.segment, r.count}];
+            SERPENTINE_CHECK(!ids.empty());
+            const PendingRead& p = batch[ids.back()];
+            ids.pop_back();
+            report->completed.push_back(CompletedRead{
+                p.id, tape, p.request, p.submit_seconds, clock, false});
+            for (int64_t i = 0; i < r.count && i < 64; ++i) {
+              cache_.Insert(CacheKey{tape, r.segment + i});
+            }
+          });
+  library_.Work(lead + run.total_seconds);
   return OkStatus();
 }
 

@@ -93,7 +93,9 @@ class TertiaryStore {
   size_t pending() const;
 
   /// Mounts, schedules, and executes everything pending. Tapes with more
-  /// pending requests are mounted first.
+  /// pending requests are mounted first. Each tape's schedule runs through
+  /// sim::RecoveringExecutor on the mounted drive, so its drive time is
+  /// what sched::EstimateScheduleSeconds prices.
   serpentine::StatusOr<FlushReport> Flush();
 
   TapeLibrary& library() { return library_; }

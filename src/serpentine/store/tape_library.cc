@@ -266,15 +266,9 @@ serpentine::StatusOr<double> TapeLibrary::WriteForward(int d, int64_t count) {
   return ReadForward(d, count);
 }
 
-serpentine::StatusOr<double> TapeLibrary::FullScan(int d) {
-  SERPENTINE_RETURN_IF_ERROR(AnnotateStatus(RequireMounted(d), "FullScan"));
-  DriveBay& b = bay(d);
-  // The leading locate leaves the head at BOT, which is also where the
-  // read-and-rewind pass ends, so the drive position stays consistent.
-  double t = b.head->Locate(0).times.locate_seconds;
-  t += models_[b.mounted]->FullReadAndRewindSeconds();
-  Spend(b, t);
-  return t;
+void TapeLibrary::Work(int d, double seconds) {
+  SERPENTINE_CHECK_GE(seconds, 0.0);
+  Spend(bay(d), seconds);
 }
 
 void TapeLibrary::Idle(int d, double seconds) {

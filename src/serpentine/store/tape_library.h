@@ -68,8 +68,8 @@ class TapeLibrary {
   /// Drive `d`'s mounted cartridge as a stateful drive::Drive (head
   /// position and per-op timing), or nullptr when that bay is empty.
   /// Callers may stack decorators on it or hand it to an executor; its
-  /// motion does NOT advance the library clock — use the LocateTo /
-  /// ReadForward wrappers for clocked operations.
+  /// motion does NOT advance the library clock — charge it with Work(), or
+  /// use the clocked LocateTo / ReadForward wrappers.
   drive::Drive* mounted_drive(int d) { return bays_[CheckDrive(d)].head.get(); }
   drive::Drive* mounted_drive() { return mounted_drive(0); }
 
@@ -146,10 +146,11 @@ class TapeLibrary {
     return WriteForward(0, count);
   }
 
-  /// Reads drive `d`'s entire mounted tape sequentially and rewinds (the
-  /// READ baseline). Returns the seconds taken.
-  serpentine::StatusOr<double> FullScan(int d);
-  serpentine::StatusOr<double> FullScan() { return FullScan(0); }
+  /// Advances drive `d`'s clock and busy time by `seconds` of work done
+  /// directly on mounted_drive(d), such as a schedule an executor ran
+  /// there.
+  void Work(int d, double seconds);
+  void Work(double seconds) { Work(0, seconds); }
 
   /// Advances drive `d`'s clock without drive activity (idle / host time).
   void Idle(int d, double seconds);

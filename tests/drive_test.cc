@@ -460,42 +460,56 @@ TEST_F(DriveTest, StackingOrderDecidesWhatTheMeterSees) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault replay: the explicit drive stack reproduces the model shim.
+// Fault replay: the explicit drive stack is pinned to %.17g goldens,
+// recorded when the executor could still build this stack itself.
 // ---------------------------------------------------------------------------
 
 TEST_F(DriveTest, ExplicitFaultStackReplaysModelShimByteForByte) {
+  struct Golden {
+    Algorithm algorithm;
+    double total, locate, read, rewind, recovery;
+    int64_t locates, segments_read;
+    SegmentId final_position;
+    int64_t transient, overshoots, resets, permanent, retries, reschedules;
+    int64_t serviced;
+    std::vector<SegmentId> abandoned;
+  };
+  const Golden goldens[] = {
+      {Algorithm::kSltf, 4121.2663502532268, 2964.8837610371047,
+       1.7423639069965284, 0.0, 1154.6402253091255, 80, 78, 406054, 16, 23,
+       1, 2, 39, 3, 78, {62584, 532540}},
+      {Algorithm::kLoss, 4105.3624587025479, 2814.4424011610508,
+       43.616234027665399, 0.0, 1247.303823513831, 79, 1721, 149902, 15, 24,
+       1, 2, 39, 3, 78, {329309, 269043}},
+      {Algorithm::kRead, 14326.198371640439, 0.0, 14281.75, 2.0137174326556,
+       42.434654207783673, 0, 622541, 0, 20, 0, 0, 1, 20, 0, 79, {441226}},
+  };
   std::vector<Request> requests = UniformBatch(80, 23);
-  for (Algorithm a : {Algorithm::kSltf, Algorithm::kLoss, Algorithm::kRead}) {
-    auto schedule = BuildSchedule(model_, 0, requests, a);
+  for (const Golden& g : goldens) {
+    auto schedule = BuildSchedule(model_, 0, requests, g.algorithm);
     ASSERT_TRUE(schedule.ok());
-    FaultProfile profile = FaultProfile::Heavy().Scaled(3.0);
-
-    FaultInjector shim_injector(profile);
-    sim::RecoveringExecutor shim(model_, model_, &shim_injector);
-    sim::RecoveringExecutionResult expected = shim.Execute(*schedule);
-
-    FaultInjector stack_injector(profile);
+    FaultInjector injector(FaultProfile::Heavy().Scaled(3.0));
     ModelDrive base(model_);
-    FaultDrive faulty(&base, &stack_injector);
-    sim::RecoveringExecutor explicit_exec(faulty, model_);
-    sim::RecoveringExecutionResult actual = explicit_exec.Execute(*schedule);
+    FaultDrive faulty(&base, &injector);
+    sim::RecoveringExecutionResult actual =
+        sim::RecoveringExecutor(faulty, model_).Execute(*schedule);
 
-    EXPECT_EQ(actual.total_seconds, expected.total_seconds);
-    EXPECT_EQ(actual.locate_seconds, expected.locate_seconds);
-    EXPECT_EQ(actual.read_seconds, expected.read_seconds);
-    EXPECT_EQ(actual.rewind_seconds, expected.rewind_seconds);
-    EXPECT_EQ(actual.recovery_seconds, expected.recovery_seconds);
-    EXPECT_EQ(actual.locates, expected.locates);
-    EXPECT_EQ(actual.segments_read, expected.segments_read);
-    EXPECT_EQ(actual.final_position, expected.final_position);
-    EXPECT_EQ(actual.transient_read_errors, expected.transient_read_errors);
-    EXPECT_EQ(actual.locate_overshoots, expected.locate_overshoots);
-    EXPECT_EQ(actual.drive_resets, expected.drive_resets);
-    EXPECT_EQ(actual.permanent_errors, expected.permanent_errors);
-    EXPECT_EQ(actual.retries, expected.retries);
-    EXPECT_EQ(actual.reschedules, expected.reschedules);
-    EXPECT_EQ(actual.requests_serviced, expected.requests_serviced);
-    EXPECT_EQ(actual.abandoned_segments, expected.abandoned_segments);
+    EXPECT_EQ(actual.total_seconds, g.total);
+    EXPECT_EQ(actual.locate_seconds, g.locate);
+    EXPECT_EQ(actual.read_seconds, g.read);
+    EXPECT_EQ(actual.rewind_seconds, g.rewind);
+    EXPECT_EQ(actual.recovery_seconds, g.recovery);
+    EXPECT_EQ(actual.locates, g.locates);
+    EXPECT_EQ(actual.segments_read, g.segments_read);
+    EXPECT_EQ(actual.final_position, g.final_position);
+    EXPECT_EQ(actual.transient_read_errors, g.transient);
+    EXPECT_EQ(actual.locate_overshoots, g.overshoots);
+    EXPECT_EQ(actual.drive_resets, g.resets);
+    EXPECT_EQ(actual.permanent_errors, g.permanent);
+    EXPECT_EQ(actual.retries, g.retries);
+    EXPECT_EQ(actual.reschedules, g.reschedules);
+    EXPECT_EQ(actual.requests_serviced, g.serviced);
+    EXPECT_EQ(actual.abandoned_segments, g.abandoned);
   }
 }
 

@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "serpentine/drive/model_drive.h"
 #include "serpentine/layout/heat_map.h"
 #include "serpentine/layout/placement.h"
+#include "serpentine/sched/estimator.h"
 #include "serpentine/sched/registry.h"
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/tape/params.h"
+#include "serpentine/util/lrand48.h"
 #include "serpentine/workload/generators.h"
 
 namespace serpentine::layout {
@@ -124,6 +128,73 @@ TEST_F(MigrationTest, EmptyPlanInterleavedIsPlainServing) {
   EXPECT_TRUE(result->migration_complete);
   EXPECT_EQ(result->migration_seconds, 0.0);
   EXPECT_EQ(result->foreground_completed, options.foreground_requests);
+}
+
+TEST_F(MigrationTest, DuplicateForegroundArrivalsCostWhatTheEstimatorPrices) {
+  // A 12-segment tape under a dense stream: nearly every foreground batch
+  // repeats a segment. Replaying the documented arrival process and
+  // dispatch rule with every batch priced by the estimator must give the
+  // foreground drive time the run charged.
+  tape::TapeParams params;
+  params.num_tracks = 2;
+  params.sections_per_track = 2;
+  params.nominal_section_segments = 3;
+  params.short_section_segments = 3;
+  params.section_segment_jitter = 0;
+  params.physical_sections = 2.0;
+  tape::Dlt4000LocateModel tiny(tape::TapeGeometry::Generate(params, 1),
+                                tape::Dlt4000Timings());
+  const tape::SegmentId total = tiny.geometry().total_segments();
+  ASSERT_EQ(total, 12);
+  MigrationPlan empty;
+  InterleavedOptions options;
+  options.foreground_requests = 300;
+  options.arrival_rate_per_hour = 36000.0;
+  StatusOr<InterleavedResult> result = RunInterleavedMigration(
+      tiny, empty, Placement::Identity(total, 4), sched::Registry::Default(),
+      options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->foreground_completed, options.foreground_requests);
+
+  Lrand48 rng(options.seed);
+  const double mean_gap = 3600.0 / options.arrival_rate_per_hour;
+  std::vector<std::pair<double, tape::SegmentId>> arrivals;
+  double t = 0.0;
+  for (int64_t i = 0; i < options.foreground_requests; ++i) {
+    t += -std::log(1.0 - rng.NextDouble()) * mean_gap;
+    arrivals.emplace_back(t, rng.NextBounded(total));
+  }
+  const sched::RegistryEntry* entry =
+      sched::Registry::Default().Find(options.algorithm);
+  ASSERT_NE(entry, nullptr);
+  double clock = 0.0;
+  double expected = 0.0;
+  tape::SegmentId head = 0;
+  size_t next = 0;
+  int64_t repeats = 0;
+  while (next < arrivals.size()) {
+    std::vector<sched::Request> batch;
+    std::set<tape::SegmentId> distinct;
+    while (next < arrivals.size() && arrivals[next].first <= clock) {
+      batch.push_back(sched::Request{arrivals[next].second, 1});
+      distinct.insert(arrivals[next++].second);
+    }
+    if (batch.empty()) {
+      clock = arrivals[next].first;
+      continue;
+    }
+    repeats += static_cast<int64_t>(batch.size() - distinct.size());
+    StatusOr<sched::Schedule> schedule =
+        entry->build(tiny, head, std::move(batch), entry->options);
+    ASSERT_TRUE(schedule.ok());
+    double seconds =
+        sched::EstimateScheduleSeconds(tiny, *schedule, {}, &head);
+    clock += seconds;
+    expected += seconds;
+  }
+  ASSERT_GT(repeats, 100);
+  EXPECT_NEAR(result->foreground_seconds, expected, 1e-9 * expected);
+  EXPECT_NEAR(result->makespan_seconds, clock, 1e-9 * clock);
 }
 
 TEST_F(MigrationTest, HigherArrivalRatesShrinkSlices) {

@@ -182,28 +182,57 @@ TEST_F(StepPlannerTest, RestartEndsThePass) {
 // ---------------------------------------------------------------------------
 
 TEST_F(StepPlannerTest, EstimatorAndBothExecutorsAgreeBitForBit) {
+  // ExecuteSchedule and a RecoveringExecutor on a bare ModelDrive charge
+  // the estimate bit for bit. The %.17g goldens were recorded when
+  // ExecuteSchedule still walked schedules with its own loop.
+  struct Golden {
+    double estimate;
+    double locate;
+    int64_t locates;
+    int64_t segments_read;
+    tape::SegmentId final_position;
+  };
+  const Golden goldens[] = {
+      {47485.654472626855, 47358.696097564905, 566, 5466, 9698},
+      {47627.602420017698, 47358.696097564905, 566, 5466, 0},
+      {46697.84195903744, 46562.887667473842, 568, 5468, 605286},
+      {46732.397317782576, 46562.887667473842, 568, 5468, 0},
+      {48795.915445255632, 48673.827458710708, 567, 5467, 539563},
+      {48868.013756361288, 48673.827458710708, 567, 5467, 0},
+      {11846.365113312939, 11091.260027320226, 384, 25778, 621288},
+      {11865.719269871803, 11091.260027320226, 384, 25778, 0},
+      {11807.344888027663, 11254.965946544966, 393, 18483, 621601},
+      {11822.316768368417, 11254.965946544966, 393, 18483, 0},
+      {12279.756058351802, 11584.491861146584, 390, 24122, 622163},
+      {12286.954965328276, 11584.491861146584, 390, 24122, 0},
+  };
+  const Golden* golden = goldens;
   for (bool sorted : {false, true}) {
     for (int32_t seed : {1, 2, 3}) {
       for (bool rewind : {false, true}) {
+        const Golden& g = *golden++;
         Schedule s = Make(MixedOrder(400, seed, sorted), 12345 * seed);
         EstimateOptions options;
         options.rewind_at_end = rewind;
         tape::SegmentId predicted = -1;
         double estimate =
             EstimateScheduleSeconds(model_, s, options, &predicted);
+        EXPECT_EQ(estimate, g.estimate);
+        EXPECT_EQ(predicted, g.final_position);
         sim::ExecutionResult plain = sim::ExecuteSchedule(model_, s, options);
+        EXPECT_EQ(plain.total_seconds, estimate);
+        EXPECT_EQ(plain.locate_seconds, g.locate);
+        EXPECT_EQ(plain.locates, g.locates);
+        EXPECT_EQ(plain.segments_read, g.segments_read);
+        EXPECT_EQ(plain.final_position, predicted);
+
         sim::RecoveryOptions recovery;
         recovery.estimate = options;
-        sim::RecoveringExecutor executor(model_, nullptr, recovery);
-        sim::RecoveringExecutionResult recovered = executor.Execute(s);
-        EXPECT_EQ(estimate, plain.total_seconds);
-        EXPECT_EQ(estimate, recovered.total_seconds);
-        EXPECT_EQ(plain.locate_seconds, recovered.locate_seconds);
-        EXPECT_EQ(plain.read_seconds, recovered.read_seconds);
-        EXPECT_EQ(plain.locates, recovered.locates);
-        EXPECT_EQ(plain.segments_read, recovered.segments_read);
-        EXPECT_EQ(predicted, plain.final_position);
-        EXPECT_EQ(predicted, recovered.final_position);
+        drive::ModelDrive drive(model_);
+        sim::RecoveringExecutionResult recovered =
+            sim::RecoveringExecutor(drive, model_, recovery).Execute(s);
+        EXPECT_EQ(recovered.total_seconds, estimate);
+        EXPECT_EQ(recovered.final_position, predicted);
         EXPECT_EQ(recovered.requests_serviced,
                   static_cast<int64_t>(s.order.size()));
         if (sorted) {
@@ -255,17 +284,26 @@ TEST_F(StepPlannerTest, ReadDeliversEveryRequestThroughBothExecutors) {
 }
 
 TEST_F(StepPlannerTest, FullScanStampsCompletionAtTheRequestsLastSegment) {
-  Schedule read = Make({Request{1000, 50}, Request{90000, 1}}, 0);
+  // Out of pass order on purpose: deliveries are reported as the head
+  // passes them, each step the pass time since the previous delivery.
+  Schedule read = Make({Request{90000, 1}, Request{1000, 50}}, 0);
   read.full_tape_scan = true;
-  sim::RecoveringExecutor executor(model_, nullptr);
-  std::vector<double> stamps;
-  executor.Execute(read, [&](const Request&, double at, bool ok) {
-    EXPECT_TRUE(ok);
-    stamps.push_back(at);
-  });
-  ASSERT_EQ(stamps.size(), 2u);
-  EXPECT_EQ(stamps[0], model_.ReadSeconds(0, 1049));
-  EXPECT_EQ(stamps[1], model_.ReadSeconds(0, 90000));
+  drive::ModelDrive drive(model_);
+  std::vector<tape::SegmentId> delivered;
+  std::vector<double> steps;
+  sim::RecoveringExecutionResult r = sim::RecoveringExecutor(drive, model_)
+      .Execute(read, [&](const Request& req, double step, bool ok) {
+        EXPECT_TRUE(ok);
+        delivered.push_back(req.segment);
+        steps.push_back(step);
+      });
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_EQ(delivered, (std::vector<tape::SegmentId>{1000, 90000}));
+  const double first = model_.ReadSeconds(0, 1049);
+  const double second = model_.ReadSeconds(0, 90000);
+  EXPECT_EQ(steps[0], first);
+  EXPECT_EQ(steps[1], second - first);
+  EXPECT_EQ(r.tail_seconds, r.total_seconds - second);
 }
 
 TEST_F(StepPlannerTest, PipelinePredictsTheExecutedHead) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "serpentine/drive/fault_drive.h"
+#include "serpentine/drive/model_drive.h"
+#include "serpentine/sched/estimator.h"
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/sim/executor.h"
 #include "serpentine/sim/experiment.h"
@@ -48,6 +51,14 @@ class FaultTest : public ::testing::Test {
   }
 
   Dlt4000LocateModel model_;
+};
+
+/// FaultDrive(ModelDrive(model)): the stack the executor runs on.
+struct FaultStack {
+  FaultStack(const tape::LocateModel& model, FaultInjector* injector)
+      : base(model), fault(&base, injector) {}
+  drive::ModelDrive base;
+  drive::FaultDrive fault;
 };
 
 // ---------------------------------------------------------------------------
@@ -198,31 +209,47 @@ TEST(FaultInjectorTest, ZeroProfileNeverInjects) {
 }
 
 // ---------------------------------------------------------------------------
-// RecoveringExecutor: golden equality with ExecuteSchedule.
+// RecoveringExecutor: zero faults charge exactly the estimate.
+//
+// The %.17g goldens were recorded from the separate fault-free loop
+// ExecuteSchedule ran before every schedule went through this executor.
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultTest, ZeroFaultsReproduceExecuteScheduleExactly) {
-  for (Algorithm algorithm :
-       {Algorithm::kLoss, Algorithm::kSltf, Algorithm::kFifo}) {
+  struct Golden {
+    Algorithm algorithm;
+    double total;
+    double locate;
+    SegmentId final_position;
+  };
+  const Golden goldens[] = {
+      {Algorithm::kLoss, 1910.8375786682168, 1909.7675292822007, 597416},
+      {Algorithm::kSltf, 2115.1207055001851, 2114.0506561141692, 505094},
+      {Algorithm::kFifo, 3828.2154661206232, 3827.1454167346074, 249593},
+  };
+  for (const Golden& golden : goldens) {
     auto schedule = BuildSchedule(model_, 5000, UniformBatch(48, 11),
-                                  algorithm);
+                                  golden.algorithm);
     ASSERT_TRUE(schedule.ok());
-    ExecutionResult plain = ExecuteSchedule(model_, *schedule);
+    double estimate = sched::EstimateScheduleSeconds(model_, *schedule);
+    EXPECT_EQ(ExecuteSchedule(model_, *schedule).total_seconds, estimate);
 
     FaultInjector zero{FaultProfile{}};
     for (FaultInjector* injector : {static_cast<FaultInjector*>(nullptr),
                                     &zero}) {
-      RecoveringExecutor executor(model_, injector);
-      RecoveringExecutionResult r = executor.Execute(*schedule);
+      FaultStack stack(model_, injector);
+      RecoveringExecutionResult r =
+          RecoveringExecutor(stack.fault, model_).Execute(*schedule);
       // Bitwise, not approximate: the fault-aware path must not perturb the
       // paper's figures at all.
-      EXPECT_EQ(r.total_seconds, plain.total_seconds);
-      EXPECT_EQ(r.locate_seconds, plain.locate_seconds);
-      EXPECT_EQ(r.read_seconds, plain.read_seconds);
-      EXPECT_EQ(r.rewind_seconds, plain.rewind_seconds);
-      EXPECT_EQ(r.final_position, plain.final_position);
-      EXPECT_EQ(r.locates, plain.locates);
-      EXPECT_EQ(r.segments_read, plain.segments_read);
+      EXPECT_EQ(r.total_seconds, estimate);
+      EXPECT_EQ(r.total_seconds, golden.total);
+      EXPECT_EQ(r.locate_seconds, golden.locate);
+      EXPECT_EQ(r.read_seconds, 1.0700493860160167);
+      EXPECT_EQ(r.rewind_seconds, 0.0);
+      EXPECT_EQ(r.final_position, golden.final_position);
+      EXPECT_EQ(r.locates, 48);
+      EXPECT_EQ(r.segments_read, 48);
       EXPECT_EQ(r.recovery_seconds, 0.0);
       EXPECT_EQ(r.requests_serviced, 48);
       EXPECT_TRUE(r.abandoned_segments.empty());
@@ -236,13 +263,15 @@ TEST_F(FaultTest, ZeroFaultsReproduceExecuteScheduleWithRewind) {
   ASSERT_TRUE(schedule.ok());
   sched::EstimateOptions estimate;
   estimate.rewind_at_end = true;
-  ExecutionResult plain = ExecuteSchedule(model_, *schedule, estimate);
   RecoveryOptions options;
   options.estimate = estimate;
-  RecoveringExecutor executor(model_, nullptr, options);
-  RecoveringExecutionResult r = executor.Execute(*schedule);
-  EXPECT_EQ(r.total_seconds, plain.total_seconds);
-  EXPECT_EQ(r.rewind_seconds, plain.rewind_seconds);
+  FaultStack stack(model_, nullptr);
+  RecoveringExecutionResult r =
+      RecoveringExecutor(stack.fault, model_, options).Execute(*schedule);
+  EXPECT_EQ(r.total_seconds,
+            sched::EstimateScheduleSeconds(model_, *schedule, estimate));
+  EXPECT_EQ(r.total_seconds, 799.53802262436773);
+  EXPECT_EQ(r.rewind_seconds, 65.612832215247209);
   EXPECT_EQ(r.final_position, 0);
 }
 
@@ -251,22 +280,25 @@ TEST_F(FaultTest, ZeroFaultsReproduceFullTapeScan) {
                                 Algorithm::kRead);
   ASSERT_TRUE(schedule.ok());
   ASSERT_TRUE(schedule->full_tape_scan);
-  ExecutionResult plain = ExecuteSchedule(model_, *schedule);
-  RecoveringExecutor executor(model_, nullptr);
-  RecoveringExecutionResult r = executor.Execute(*schedule);
-  EXPECT_EQ(r.total_seconds, plain.total_seconds);
-  EXPECT_EQ(r.read_seconds, plain.read_seconds);
-  EXPECT_EQ(r.rewind_seconds, plain.rewind_seconds);
-  EXPECT_EQ(r.final_position, plain.final_position);
-  EXPECT_EQ(r.segments_read, plain.segments_read);
+  FaultStack stack(model_, nullptr);
+  RecoveringExecutionResult r =
+      RecoveringExecutor(stack.fault, model_).Execute(*schedule);
+  EXPECT_EQ(r.total_seconds,
+            sched::EstimateScheduleSeconds(model_, *schedule));
+  EXPECT_EQ(r.total_seconds, 14283.763717432656);
+  EXPECT_EQ(r.read_seconds, 14281.75);
+  EXPECT_EQ(r.rewind_seconds, 2.0137174326556);
+  EXPECT_EQ(r.final_position, 0);
+  EXPECT_EQ(r.segments_read, 622542);
   EXPECT_EQ(r.requests_serviced, 8);
 }
 
 TEST_F(FaultTest, EmptyScheduleIsZeroWork) {
   sched::Schedule empty;
   empty.initial_position = 777;
-  RecoveringExecutor executor(model_, nullptr);
-  RecoveringExecutionResult r = executor.Execute(empty);
+  FaultStack stack(model_, nullptr);
+  RecoveringExecutionResult r =
+      RecoveringExecutor(stack.fault, model_).Execute(empty);
   EXPECT_EQ(r.total_seconds, 0.0);
   EXPECT_EQ(r.final_position, 777);
   EXPECT_EQ(r.requests_serviced, 0);
@@ -283,10 +315,12 @@ TEST_F(FaultTest, DeterministicUnderFaults) {
   ASSERT_TRUE(schedule.ok());
   FaultInjector a(profile);
   FaultInjector b(profile);
+  FaultStack stack_a(model_, &a);
+  FaultStack stack_b(model_, &b);
   RecoveringExecutionResult ra =
-      RecoveringExecutor(model_, &a).Execute(*schedule);
+      RecoveringExecutor(stack_a.fault, model_).Execute(*schedule);
   RecoveringExecutionResult rb =
-      RecoveringExecutor(model_, &b).Execute(*schedule);
+      RecoveringExecutor(stack_b.fault, model_).Execute(*schedule);
   EXPECT_EQ(ra.total_seconds, rb.total_seconds);
   EXPECT_EQ(ra.recovery_seconds, rb.recovery_seconds);
   EXPECT_EQ(ra.retries, rb.retries);
@@ -304,13 +338,14 @@ TEST_F(FaultTest, EveryRequestServicedOrAbandoned) {
     ASSERT_TRUE(schedule.ok());
     int callbacks = 0, failures = 0;
     double last_at = 0.0;
+    FaultStack stack(model_, &injector);
     RecoveringExecutionResult r =
-        RecoveringExecutor(model_, &injector)
-            .Execute(*schedule, [&](const Request&, double at, bool ok) {
+        RecoveringExecutor(stack.fault, model_)
+            .Execute(*schedule, [&](const Request&, double step, bool ok) {
               ++callbacks;
               if (!ok) ++failures;
-              EXPECT_GE(at, last_at);  // completion stamps are monotone
-              last_at = at;
+              EXPECT_GE(step, 0.0);  // completion stamps are monotone
+              last_at += step;
             });
     EXPECT_EQ(callbacks, 40);
     EXPECT_EQ(failures,
@@ -323,7 +358,8 @@ TEST_F(FaultTest, EveryRequestServicedOrAbandoned) {
                     r.recovery_seconds,
                 1e-9);
     EXPECT_GE(r.recovery_seconds, 0.0);
-    EXPECT_LE(last_at, r.total_seconds + 1e-9);
+    EXPECT_NEAR(last_at + r.tail_seconds, r.total_seconds,
+                1e-9 * r.total_seconds);
   }
 }
 
@@ -334,8 +370,9 @@ TEST_F(FaultTest, PermanentMediaErrorsAreSkippedAndReported) {
   auto schedule = BuildSchedule(model_, 0, UniformBatch(12, 17),
                                 Algorithm::kLoss);
   ASSERT_TRUE(schedule.ok());
+  FaultStack stack(model_, &injector);
   RecoveringExecutionResult r =
-      RecoveringExecutor(model_, &injector).Execute(*schedule);
+      RecoveringExecutor(stack.fault, model_).Execute(*schedule);
   EXPECT_EQ(r.requests_serviced, 0);
   EXPECT_EQ(r.abandoned_segments.size(), 12u);
   EXPECT_EQ(r.permanent_errors, 12);
@@ -352,8 +389,9 @@ TEST_F(FaultTest, RetryExhaustionAbandonsUnderPureTransients) {
   auto schedule = BuildSchedule(model_, 0, UniformBatch(6, 19),
                                 Algorithm::kLoss);
   ASSERT_TRUE(schedule.ok());
+  FaultStack stack(model_, &injector);
   RecoveringExecutionResult r =
-      RecoveringExecutor(model_, &injector, options).Execute(*schedule);
+      RecoveringExecutor(stack.fault, model_, options).Execute(*schedule);
   EXPECT_EQ(r.requests_serviced, 0);
   EXPECT_EQ(r.abandoned_segments.size(), 6u);
   // Each request burned max_attempts passes, max_attempts - 1 backoffs.
@@ -371,8 +409,9 @@ TEST_F(FaultTest, DriveResetStormTerminates) {
   ASSERT_TRUE(schedule.ok());
   RecoveryOptions options;
   options.max_reschedules = 4;
+  FaultStack stack(model_, &injector);
   RecoveringExecutionResult r =
-      RecoveringExecutor(model_, &injector, options).Execute(*schedule);
+      RecoveringExecutor(stack.fault, model_, options).Execute(*schedule);
   // The plan can never progress; the executor must still come back with
   // every request accounted for and the reschedule budget respected.
   EXPECT_EQ(r.requests_serviced, 0);
@@ -391,8 +430,9 @@ TEST_F(FaultTest, ReschedulingCanBeDisabled) {
   auto schedule = BuildSchedule(model_, 0, UniformBatch(32, 29),
                                 Algorithm::kLoss);
   ASSERT_TRUE(schedule.ok());
+  FaultStack stack(model_, &injector);
   RecoveringExecutionResult r =
-      RecoveringExecutor(model_, &injector, options).Execute(*schedule);
+      RecoveringExecutor(stack.fault, model_, options).Execute(*schedule);
   EXPECT_EQ(r.reschedules, 0);
   EXPECT_EQ(r.requests_serviced +
                 static_cast<int64_t>(r.abandoned_segments.size()),
@@ -403,22 +443,26 @@ TEST_F(FaultTest, TransientFaultsOnlyAddTime) {
   auto schedule = BuildSchedule(model_, 0, UniformBatch(32, 31),
                                 Algorithm::kLoss);
   ASSERT_TRUE(schedule.ok());
-  ExecutionResult plain = ExecuteSchedule(model_, *schedule);
+  double estimate = sched::EstimateScheduleSeconds(model_, *schedule);
+  EXPECT_EQ(estimate, 1313.627559904759);
   FaultProfile profile;
   profile.transient_read_rate = 0.2;
   FaultInjector injector(profile);
   RecoveryOptions options;
   options.retry.max_attempts = 12;  // exhaustion essentially impossible
+  FaultStack stack(model_, &injector);
   RecoveringExecutionResult r =
-      RecoveringExecutor(model_, &injector, options).Execute(*schedule);
+      RecoveringExecutor(stack.fault, model_, options).Execute(*schedule);
   // Transient read errors retry in place: the service order and head
-  // motion are untouched, so the useful work is identical and the faults
-  // only add recovery time on top.
-  EXPECT_EQ(r.locate_seconds, plain.locate_seconds);
-  EXPECT_EQ(r.read_seconds, plain.read_seconds);
+  // motion are untouched, so the useful work is the fault-free estimate
+  // and the faults only add recovery time on top.
+  EXPECT_EQ(r.locate_seconds + r.read_seconds, estimate);
+  EXPECT_EQ(r.locate_seconds, 1312.923451939364);
+  EXPECT_EQ(r.read_seconds, 0.70410796539495257);
   EXPECT_EQ(r.requests_serviced, 32);
-  EXPECT_GT(r.recovery_seconds, 0.0);
-  EXPECT_GT(r.total_seconds, plain.total_seconds);
+  EXPECT_EQ(r.recovery_seconds, 24.698527120512178);
+  EXPECT_EQ(r.retries, 9);
+  EXPECT_GT(r.total_seconds, estimate);
 }
 
 TEST_F(FaultTest, SingleRequestResetStormTerminates) {
@@ -427,8 +471,9 @@ TEST_F(FaultTest, SingleRequestResetStormTerminates) {
   FaultInjector injector(profile);
   sched::Schedule schedule;
   schedule.order = {Request{100000, 1}};
+  FaultStack stack(model_, &injector);
   RecoveringExecutionResult r =
-      RecoveringExecutor(model_, &injector).Execute(schedule);
+      RecoveringExecutor(stack.fault, model_).Execute(schedule);
   // With nothing to re-plan, resets burn the retry budget and the lone
   // request is abandoned — never an infinite reschedule loop.
   EXPECT_EQ(r.requests_serviced, 0);
@@ -477,7 +522,8 @@ TEST(PhysicalDriveFaultTest, RecoveringExecutorDeterministicOnPhysicalDrive) {
   auto run = [&] {
     PhysicalDrive drive(truth, Dlt4000Timings());
     FaultInjector injector(profile);
-    return RecoveringExecutor(drive, believed, &injector).Execute(*schedule);
+    FaultStack stack(drive, &injector);
+    return RecoveringExecutor(stack.fault, believed).Execute(*schedule);
   };
   RecoveringExecutionResult a = run();
   RecoveringExecutionResult b = run();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "serpentine/drive/model_drive.h"
+#include "serpentine/sched/estimator.h"
+#include "serpentine/sim/recovering_executor.h"
 #include "serpentine/store/segment_cache.h"
 #include "serpentine/store/tape_library.h"
 #include "serpentine/util/lrand48.h"
@@ -134,11 +137,19 @@ TEST_F(TapeLibraryTest, RejectsOutOfRangeOperations) {
 }
 
 TEST_F(TapeLibraryTest, FullScanTakesAboutFourHours) {
+  // A READ pass run on the mounted drive, then charged to the library.
   ASSERT_TRUE(library_.Mount(0).ok());
-  auto t = library_.FullScan();
-  ASSERT_TRUE(t.ok());
-  EXPECT_NEAR(t.value(), 14000.0, 700.0);
+  sched::Schedule read;
+  read.full_tape_scan = true;
+  double before = library_.now();
+  sim::RecoveringExecutionResult pass =
+      sim::RecoveringExecutor(*library_.mounted_drive(), library_.model(0))
+          .Execute(read);
+  library_.Work(pass.total_seconds);
+  EXPECT_NEAR(pass.total_seconds, 14000.0, 700.0);
   EXPECT_EQ(library_.head_position(), 0);
+  EXPECT_DOUBLE_EQ(library_.now() - before, pass.total_seconds);
+  EXPECT_DOUBLE_EQ(library_.busy_seconds() - before, pass.total_seconds);
 }
 
 TEST_F(TapeLibraryTest, CartridgesHaveDistinctGeometry) {
@@ -378,6 +389,52 @@ TEST(TertiaryStoreTest, SmallBatchesUseOpt) {
   // OPT handles 8 requests; the flush must succeed (an oversize OPT batch
   // would fail InvalidArgument).
   EXPECT_TRUE(store.Flush().ok());
+}
+
+TEST(TertiaryStoreTest, FlushChargesTheScheduleEstimate) {
+  // A duplicate read is delivered from the pass that read it and a short
+  // gap across a track boundary is read through, so the flush charges
+  // what the estimator prices and stamps each read when its executor step
+  // ends.
+  StoreOptions options;
+  options.cache_segments = 0;
+  TertiaryStore store = MakeStore(options, 1);
+  ASSERT_TRUE(store.library().Mount(0).ok());  // the flush mounts nothing
+  const tape::LocateModel& model = store.library().model(0);
+  const SegmentId boundary = model.geometry().track_start(1);
+  const std::vector<sched::Request> reads = {{200000, 1},
+                                             {boundary - 3, 1},
+                                             {200000, 1},
+                                             {boundary + 2, 1},
+                                             {9000, 4}};
+  for (const sched::Request& r : reads) {
+    ASSERT_TRUE(store.SubmitRead(0, r.segment, r.count).ok());
+  }
+  const double start = store.library().now();
+  const double busy = store.library().busy_seconds();
+  auto report = store.Flush();
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->completed.size(), reads.size());
+
+  // The store's schedule: OPT for a batch this small, from BOT.
+  auto schedule = sched::BuildSchedule(model, 0, reads, sched::Algorithm::kOpt,
+                                       options.scheduler_options);
+  ASSERT_TRUE(schedule.ok());
+  EXPECT_DOUBLE_EQ(store.library().busy_seconds() - busy,
+                   sched::EstimateScheduleSeconds(model, *schedule));
+
+  drive::ModelDrive drive(model);
+  double clock = start;
+  std::vector<double> stamps;
+  sim::RecoveringExecutor(drive, model)
+      .Execute(*schedule, [&](const sched::Request&, double step, bool) {
+        clock += step;
+        stamps.push_back(clock);
+      });
+  ASSERT_EQ(stamps.size(), reads.size());
+  for (size_t i = 0; i < stamps.size(); ++i) {
+    EXPECT_EQ(report->completed[i].complete_seconds, stamps[i]) << i;
+  }
 }
 
 TEST(TertiaryStoreTest, BatchingImprovesPerRequestService) {

@@ -183,6 +183,17 @@ for config in $CONFIGS; do
       echo "python3 not on PATH; skipping the bench JSON schema check"
     fi
     echo "== placement smoke: OK =="
+
+    # Determinism gate: every modeled value of the repo benchmark must be
+    # identical across 1 and 2 scheduler threads and with tracing on
+    # (builds perfbench in Release under .bench_build/).
+    echo "== determinism: perfbench/check_determinism.py =="
+    if command -v python3 >/dev/null 2>&1; then
+      python3 perfbench/check_determinism.py
+    else
+      echo "python3 not on PATH; skipping the determinism check"
+    fi
+    echo "== determinism: OK =="
   fi
 done
 
