@@ -1,7 +1,9 @@
 #include "serpentine/fleet/catalog.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
@@ -45,6 +47,14 @@ int64_t FleetTopology::total_segments() const {
   return total;
 }
 
+bool ReplicaList::operator==(const ReplicaList& other) const {
+  if (size_ != other.size_) return false;
+  for (int r = 0; r < size_; ++r) {
+    if (!((*this)[r] == other[r])) return false;
+  }
+  return true;
+}
+
 namespace {
 
 /// Sequential fill cursor of one library: next free (cartridge, segment).
@@ -54,7 +64,48 @@ struct FillCursor {
   int64_t remaining = 0;
 };
 
+/// Round-robin placements on `library` among logical segments [0, n) while
+/// no library is full: logical i puts a replica there iff
+/// (library - i) mod L < replication. Every L consecutive segments place
+/// exactly `replication` there; the last partial cycle counts the j in
+/// [0, n mod L) on the cyclic interval [library - replication + 1,
+/// library].
+int64_t RoundRobinPlaced(int64_t n, int library, int libraries,
+                         int replication) {
+  const int64_t rem = n % libraries;
+  int64_t count = n / libraries * replication;
+  const int64_t lo = library - replication + 1;
+  const int64_t upto = std::min<int64_t>(library + 1, rem);
+  if (lo >= 0) {
+    count += std::max<int64_t>(0, upto - lo);
+  } else {
+    count += upto + std::max<int64_t>(0, rem - (lo + libraries));
+  }
+  return count;
+}
+
 }  // namespace
+
+ReplicaLocation Catalog::replica(int64_t logical, int r) const {
+  SERPENTINE_CHECK_GE(logical, int64_t{0});
+  SERPENTINE_CHECK_LT(logical, num_logical_);
+  SERPENTINE_CHECK_GE(r, 0);
+  SERPENTINE_CHECK_LT(r, replication_);
+  if (!table_.empty()) return table_[logical * replication_ + r];
+  // Replica r of logical i sits on library (i + r) mod L, at the fill
+  // index that counts the placements there before it; no earlier replica
+  // of i shares the library.
+  const int libraries = static_cast<int>(cartridge_end_.size());
+  ReplicaLocation loc;
+  loc.library = static_cast<int>((logical + r) % libraries);
+  const int64_t fill =
+      RoundRobinPlaced(logical, loc.library, libraries, replication_);
+  const std::vector<int64_t>& ends = cartridge_end_[loc.library];
+  auto cart = std::upper_bound(ends.begin(), ends.end(), fill);
+  loc.cartridge = static_cast<int>(cart - ends.begin());
+  loc.segment = fill - (cart == ends.begin() ? 0 : *(cart - 1));
+  return loc;
+}
 
 serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
                                              int64_t logical_segments,
@@ -116,6 +167,35 @@ serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
         std::to_string(topology.total_segments()));
   }
 
+  Catalog catalog;
+  catalog.num_logical_ = logical_segments;
+  catalog.replication_ = options.replication;
+
+  if (options.policy == PlacementPolicy::kRoundRobin) {
+    // No library fills up, so every replica lands on its wanted library
+    // (the distinct-library skip never fires) and placement is a closed
+    // form.
+    std::vector<int64_t> placed(libraries);
+    bool fits = true;
+    for (int lib = 0; lib < libraries; ++lib) {
+      placed[lib] = RoundRobinPlaced(logical_segments, lib, libraries,
+                                     options.replication);
+      fits = fits && placed[lib] <= topology.library_segments(lib);
+    }
+    if (fits) {
+      catalog.placed_per_library_ = std::move(placed);
+      catalog.cartridge_end_.resize(libraries);
+      for (int lib = 0; lib < libraries; ++lib) {
+        int64_t end = 0;
+        for (tape::SegmentId c : topology.capacity[lib]) {
+          end += c;
+          catalog.cartridge_end_[lib].push_back(end);
+        }
+      }
+      return catalog;
+    }
+  }
+
   std::vector<FillCursor> cursors(libraries);
   for (int lib = 0; lib < libraries; ++lib) {
     cursors[lib].remaining = topology.library_segments(lib);
@@ -123,9 +203,7 @@ serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
 
   Lrand48 rng(options.seed);
 
-  Catalog catalog;
-  catalog.replication_ = options.replication;
-  catalog.replicas_.resize(logical_segments);
+  catalog.table_.reserve(logical_segments * options.replication);
   catalog.placed_per_library_.assign(libraries, 0);
 
   std::vector<int> chosen;
@@ -205,7 +283,7 @@ serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
       loc.library = pick;
       loc.cartridge = cur.cartridge;
       loc.segment = cur.segment;
-      catalog.replicas_[logical].push_back(loc);
+      catalog.table_.push_back(loc);
       ++catalog.placed_per_library_[pick];
       // Advance the sequential fill cursor.
       --cur.remaining;

@@ -73,7 +73,28 @@ struct PlacementOptions {
   int32_t seed = 1;
 };
 
-/// The logical → physical mapping, built once at ingest and immutable
+class Catalog;
+
+/// The replicas of one logical segment, in placement order (replica 0
+/// first). A small value: it reads the catalog's table, or computes the
+/// round-robin placement, on access, and never allocates.
+class ReplicaList {
+ public:
+  int size() const { return size_; }
+  ReplicaLocation operator[](int r) const;
+  bool operator==(const ReplicaList& other) const;
+
+ private:
+  friend class Catalog;
+  ReplicaList(const Catalog* catalog, int64_t logical, int size)
+      : catalog_(catalog), logical_(logical), size_(size) {}
+
+  const Catalog* catalog_;
+  int64_t logical_;
+  int size_;
+};
+
+/// The logical → physical mapping, fixed at ingest and immutable
 /// afterwards (safe to share across replicated runs and threads).
 ///
 /// Within each library, placement fills cartridges sequentially (cartridge
@@ -81,6 +102,12 @@ struct PlacementOptions {
 /// identity mapping — logical segment i IS physical segment i — which is
 /// what lets a 1-library fleet reproduce the single-library OnlineServer
 /// stream bit for bit.
+///
+/// Round-robin placement that fills no library (always the case for the
+/// fleet's default catalog, whose size is the smallest library's) is a
+/// closed form and stores nothing per segment. Random, weighted and
+/// overflowing round-robin placement keep one flat table, stride
+/// replication().
 class Catalog {
  public:
   /// Places `logical_segments` segments × replication replicas onto the
@@ -91,14 +118,12 @@ class Catalog {
                                              int64_t logical_segments,
                                              const PlacementOptions& options);
 
-  int64_t num_logical() const {
-    return static_cast<int64_t>(replicas_.size());
-  }
+  int64_t num_logical() const { return num_logical_; }
   int replication() const { return replication_; }
 
   /// The replicas of `logical`, in placement order (replica 0 first).
-  const std::vector<ReplicaLocation>& replicas(int64_t logical) const {
-    return replicas_[logical];
+  ReplicaList replicas(int64_t logical) const {
+    return ReplicaList(this, logical, replication_);
   }
 
   /// Physical segments placed on each library (placement-balance metric).
@@ -107,10 +132,24 @@ class Catalog {
   }
 
  private:
-  std::vector<std::vector<ReplicaLocation>> replicas_;
-  std::vector<int64_t> placed_per_library_;
+  friend class ReplicaList;
+  /// Replica `r` of `logical`: a table read, or the closed form.
+  ReplicaLocation replica(int64_t logical, int r) const;
+
+  int64_t num_logical_ = 0;
   int replication_ = 1;
+  /// Placement table, replica r of logical i at [i * replication_ + r];
+  /// empty when placement is the round-robin closed form.
+  std::vector<ReplicaLocation> table_;
+  /// Round-robin closed form: cartridge_end_[lib][c] = segments on
+  /// cartridges 0..c of library lib.
+  std::vector<std::vector<int64_t>> cartridge_end_;
+  std::vector<int64_t> placed_per_library_;
 };
+
+inline ReplicaLocation ReplicaList::operator[](int r) const {
+  return catalog_->replica(logical_, r);
+}
 
 }  // namespace serpentine::fleet
 

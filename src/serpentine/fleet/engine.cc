@@ -56,7 +56,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::Create(const Fleet& fleet,
 
 Engine::Engine(Catalog catalog, const Fleet& fleet, const FleetConfig& config)
     : catalog_(std::move(catalog)),
-      router_(&catalog_, fleet.libraries(), config.router) {
+      router_(fleet.libraries(), config.router) {
   cores_.reserve(fleet.libraries());
   depth_gauges_.reserve(fleet.libraries());
   for (int lib = 0; lib < fleet.libraries(); ++lib) {
@@ -84,20 +84,20 @@ void Engine::CrankTo(double t) {
 }
 
 int Engine::Route(const sim::ServingRequest& request) {
-  const std::vector<ReplicaLocation>& replicas =
-      catalog_.replicas(request.segment);
+  const ReplicaList replicas = catalog_.replicas(request.segment);
   scores_.resize(replicas.size());
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    const sim::ServingCore& core = *cores_[replicas[i].library];
+  for (int i = 0; i < replicas.size(); ++i) {
+    const ReplicaLocation replica = replicas[i];
+    const sim::ServingCore& core = *cores_[replica.library];
     scores_[i].seconds =
         replicas.size() == 1
             ? 0.0
             : std::max(core.clock() - request.time, 0.0) +
-                  core.EstimateServiceSeconds(replicas[i].cartridge,
-                                              replicas[i].segment);
+                  core.EstimateServiceSeconds(replica.cartridge,
+                                              replica.segment);
     scores_[i].breaker_open = core.breaker_open();
   }
-  RouteDecision decision = router_.Route(request.segment, scores_);
+  RouteDecision decision = router_.Route(replicas, scores_);
   sim::ServingRequest routed = request;
   routed.segment = decision.location.segment;
   routed.cartridge = decision.location.cartridge;

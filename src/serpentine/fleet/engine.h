@@ -65,7 +65,7 @@ class Engine {
   /// Routes `request` (its `segment` logical) to one replica's library and
   /// returns that library. Each replica bids backlog past the arrival plus
   /// the FIFO service estimate of (queue + this read); a lone replica bids
-  /// 0, skipping the O(queue-depth) estimate the router would ignore.
+  /// 0, skipping the estimate the router would ignore.
   int Route(const sim::ServingRequest& request);
 
   /// Ends the input and drains every core to kDone.

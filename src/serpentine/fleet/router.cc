@@ -10,17 +10,14 @@ Status ValidateRouterOptions(const RouterOptions& options) {
   return OkStatus();
 }
 
-Router::Router(const Catalog* catalog, int libraries, RouterOptions options)
-    : catalog_(catalog), options_(options) {
-  SERPENTINE_CHECK(catalog != nullptr);
+Router::Router(int libraries, RouterOptions options) : options_(options) {
   SERPENTINE_CHECK_GE(libraries, 1);
   dispatches_per_library_.assign(libraries, 0);
 }
 
-RouteDecision Router::Route(int64_t logical,
+RouteDecision Router::Route(const ReplicaList& replicas,
                             const std::vector<ReplicaScore>& scores) {
-  const std::vector<ReplicaLocation>& replicas = catalog_->replicas(logical);
-  SERPENTINE_CHECK_EQ(scores.size(), replicas.size());
+  SERPENTINE_CHECK_EQ(scores.size(), static_cast<size_t>(replicas.size()));
   SERPENTINE_CHECK(!scores.empty());
 
   // Two argmins in one pass: the best replica overall and the best healthy

@@ -21,8 +21,8 @@
 
 namespace serpentine::fleet {
 
-/// One replica's bid for a request, in the same order as
-/// Catalog::replicas(logical).
+/// One replica's bid for a request, in the same order as the request's
+/// Catalog::replicas.
 struct ReplicaScore {
   /// Estimated seconds until the candidate read completes on that
   /// replica's library (from the request's arrival instant).
@@ -44,7 +44,7 @@ Status ValidateRouterOptions(const RouterOptions& options);
 
 /// The outcome of routing one request.
 struct RouteDecision {
-  /// Index into Catalog::replicas(logical).
+  /// Index into the request's Catalog::replicas.
   int replica = 0;
   ReplicaLocation location;
   /// The chosen replica's score.
@@ -54,17 +54,17 @@ struct RouteDecision {
   bool failover = false;
 };
 
-/// Scores → decision, with per-library dispatch counters. Borrows the
-/// catalog (which is immutable after Build).
+/// Scores → decision, with per-library dispatch counters.
 class Router {
  public:
-  Router(const Catalog* catalog, int libraries, RouterOptions options = {});
+  explicit Router(int libraries, RouterOptions options = {});
 
-  /// Routes logical segment `logical` given one score per replica (same
-  /// order as catalog->replicas(logical); sizes must match). Ties on
-  /// seconds break toward the lower replica index, so equal-cost fleets
-  /// route deterministically.
-  RouteDecision Route(int64_t logical, const std::vector<ReplicaScore>& scores);
+  /// Routes a request whose replicas are `replicas`, given one score per
+  /// replica in the same order (sizes must match). Ties on seconds break
+  /// toward the lower replica index, so equal-cost fleets route
+  /// deterministically.
+  RouteDecision Route(const ReplicaList& replicas,
+                      const std::vector<ReplicaScore>& scores);
 
   // ---- lifetime counters ----
   int64_t dispatches() const { return dispatches_; }
@@ -75,7 +75,6 @@ class Router {
   }
 
  private:
-  const Catalog* catalog_;
   RouterOptions options_;
   int64_t dispatches_ = 0;
   int64_t failovers_ = 0;

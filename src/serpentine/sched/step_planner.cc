@@ -16,7 +16,7 @@ constexpr double kTieSeconds = 1e-6;
 
 StepPlanner::StepPlanner(const tape::LocateModel& model, tape::SegmentId head,
                          bool include_reads)
-    : model_(model),
+    : model_(&model),
       include_reads_(include_reads),
       head_(head),
       pass_start_(head),
@@ -24,11 +24,11 @@ StepPlanner::StepPlanner(const tape::LocateModel& model, tape::SegmentId head,
 
 Step StepPlanner::Next(const Request& r) {
   SERPENTINE_CHECK_GE(r.segment, 0);
-  SERPENTINE_CHECK_LE(r.last(), model_.geometry().total_segments() - 1);
+  SERPENTINE_CHECK_LE(r.last(), model_->geometry().total_segments() - 1);
   Step step;
   if (!include_reads_) {
-    step.locate_seconds = model_.LocateSeconds(head_, r.segment);
-    Restart(OutPosition(model_.geometry(), r));
+    step.locate_seconds = model_->LocateSeconds(head_, r.segment);
+    Restart(OutPosition(model_->geometry(), r));
     return step;
   }
 
@@ -36,16 +36,16 @@ Step StepPlanner::Next(const Request& r) {
     step.kind = StepKind::kFromPass;
     step.scan_from = pass_end_;
     if (step.scans(r)) {
-      step.read_seconds = model_.ReadSeconds(pass_end_, r.last());
+      step.read_seconds = model_->ReadSeconds(pass_end_, r.last());
       ReadThrough(r.last());
     }
     return step;
   }
 
-  double locate = model_.LocateSeconds(head_, r.segment);
-  double read = model_.ReadSeconds(r.segment, r.last());
+  double locate = model_->LocateSeconds(head_, r.segment);
+  double read = model_->ReadSeconds(r.segment, r.last());
   if (r.segment > head_) {
-    double stream = model_.ReadSeconds(head_, r.last());
+    double stream = model_->ReadSeconds(head_, r.last());
     if (stream < locate + read - kTieSeconds) {
       step.kind = StepKind::kStream;
       step.scan_from = head_;
@@ -69,7 +69,7 @@ void StepPlanner::Restart(tape::SegmentId head) {
 
 void StepPlanner::ReadThrough(tape::SegmentId last) {
   pass_end_ = std::max(pass_end_, last + 1);
-  head_ = std::min(pass_end_, model_.geometry().total_segments() - 1);
+  head_ = std::min(pass_end_, model_->geometry().total_segments() - 1);
 }
 
 }  // namespace serpentine::sched

@@ -83,7 +83,7 @@ class StepPlanner {
   /// Extends the pass through `last` and parks the head past it.
   void ReadThrough(tape::SegmentId last);
 
-  const tape::LocateModel& model_;
+  const tape::LocateModel* model_;
   bool include_reads_;
   tape::SegmentId head_;
   /// The current pass has read segments [pass_start_, pass_end_).

@@ -10,7 +10,6 @@
 
 #include "serpentine/obs/metrics.h"
 #include "serpentine/obs/trace.h"
-#include "serpentine/sched/estimator.h"
 #include "serpentine/sim/recovering_executor.h"
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
@@ -154,6 +153,9 @@ void ServingCore::Push(const ServingRequest& request) {
   SERPENTINE_CHECK_GE(request.cartridge, 0);
   SERPENTINE_CHECK_LT(request.cartridge, static_cast<int>(models_.size()));
   routed_.push_back(request);
+  if (queue_fold_.has_value()) {
+    Extend(&*queue_fold_, request.cartridge, request.segment);
+  }
   input_bound_ = request.time;
 }
 
@@ -169,71 +171,52 @@ bool ServingCore::breaker_open() const {
          health_->breaker().state() == drive::BreakerState::kOpen;
 }
 
-double ServingCore::FifoEstimateSeconds(
-    const ServingRequest& candidate) const {
-  // Single-cartridge fast path: the PR 6 admission oracle, expression for
-  // expression — FIFO because admission must answer *before* the batch is
-  // scheduled; the real scheduler only does better, so the bound errs
-  // toward shedding.
-  if (models_.size() == 1) {
-    sched::Schedule plan;
-    plan.algorithm = sched::Algorithm::kFifo;
-    plan.initial_position = drive_->Position();
-    plan.order.reserve(pending_.size() + 1);
-    for (const ServingRequest& p : pending_) {
-      plan.order.push_back(sched::Request{p.segment, 1});
-    }
-    plan.order.push_back(sched::Request{candidate.segment, 1});
-    return sched::EstimateScheduleSeconds(*models_[0], plan);
+void ServingCore::Extend(ChainFold* fold, int cartridge,
+                         tape::SegmentId segment) const {
+  if (cartridge != fold->cartridge) {
+    // Close the open run, then charge the single-reel rewind of its
+    // cartridge plus the exchange; the new run starts at BOT.
+    fold->closed += fold->locate + fold->read;
+    fold->closed += models_[fold->cartridge]->RewindSeconds(
+                        fold->planner.head()) +
+                    mount_exchange_seconds_;
+    fold->cartridge = cartridge;
+    fold->planner = sched::StepPlanner(*models_[cartridge], 0);
+    fold->locate = 0.0;
+    fold->read = 0.0;
   }
-  std::vector<std::pair<int, tape::SegmentId>> chain;
-  chain.reserve(pending_.size() + 1);
-  for (const ServingRequest& p : pending_) {
-    chain.emplace_back(p.cartridge, p.segment);
-  }
-  chain.emplace_back(candidate.cartridge, candidate.segment);
-  return EstimateChainSeconds(chain);
+  sched::Step step = fold->planner.Next(sched::Request{segment, 1});
+  fold->locate += step.locate_seconds;
+  fold->read += step.read_seconds;
 }
 
-double ServingCore::EstimateChainSeconds(
-    const std::vector<std::pair<int, tape::SegmentId>>& chain) const {
-  // FIFO bound over a cross-cartridge chain: consecutive same-cartridge
-  // runs are priced by that cartridge's model; every cartridge change
-  // charges the single-reel rewind plus the exchange.
-  double total = 0.0;
-  int cart = mounted_;
-  tape::SegmentId head = drive_->Position();
-  size_t i = 0;
-  while (i < chain.size()) {
-    if (chain[i].first != cart) {
-      total += models_[cart]->RewindSeconds(head) + mount_exchange_seconds_;
-      cart = chain[i].first;
-      head = 0;
+const ServingCore::ChainFold& ServingCore::PendingFold() const {
+  if (!pending_fold_.has_value()) {
+    pending_fold_.emplace(ChainFold{
+        0.0, mounted_, sched::StepPlanner(*models_[mounted_],
+                                          drive_->Position())});
+    for (const ServingRequest& p : pending_) {
+      Extend(&*pending_fold_, p.cartridge, p.segment);
     }
-    sched::Schedule plan;
-    plan.algorithm = sched::Algorithm::kFifo;
-    plan.initial_position = head;
-    while (i < chain.size() && chain[i].first == cart) {
-      plan.order.push_back(sched::Request{chain[i].second, 1});
-      ++i;
-    }
-    total += sched::EstimateScheduleSeconds(*models_[cart], plan, {}, &head);
   }
-  return total;
+  return *pending_fold_;
+}
+
+const ServingCore::ChainFold& ServingCore::QueueFold() const {
+  if (!queue_fold_.has_value()) {
+    queue_fold_.emplace(PendingFold());
+    for (const ServingRequest& r : routed_) {
+      Extend(&*queue_fold_, r.cartridge, r.segment);
+    }
+  }
+  return *queue_fold_;
 }
 
 double ServingCore::EstimateServiceSeconds(int cartridge,
                                            tape::SegmentId segment) const {
-  std::vector<std::pair<int, tape::SegmentId>> chain;
-  chain.reserve(pending_.size() + routed_.size() + 1);
-  for (const ServingRequest& p : pending_) {
-    chain.emplace_back(p.cartridge, p.segment);
-  }
-  for (const ServingRequest& r : routed_) {
-    chain.emplace_back(r.cartridge, r.segment);
-  }
-  chain.emplace_back(cartridge, segment);
-  return EstimateChainSeconds(chain);
+  ChainFold bid = QueueFold();
+  Extend(&bid, cartridge, segment);
+  return bid.total();
 }
 
 bool ServingCore::AdmitDue() {
@@ -256,7 +239,12 @@ bool ServingCore::AdmitDue() {
             " at capacity " +
             std::to_string(config_.admission.max_queue_depth));
       } else if (std::isfinite(a.deadline)) {
-        double estimate = FifoEstimateSeconds(a);
+        // FIFO, because admission must answer before the batch is
+        // scheduled; the real scheduler only does better, so the bound
+        // errs toward shedding.
+        ChainFold admitted = PendingFold();
+        Extend(&admitted, a.cartridge, a.segment);
+        double estimate = admitted.total();
         double eta = clock_ + config_.admission.slack * estimate;
         if (eta > a.deadline) {
           verdict = DeadlineExceededError(
@@ -268,6 +256,8 @@ bool ServingCore::AdmitDue() {
       }
     }
     if (!verdict.ok()) {
+      // `a` leaves the middle of the chain the queue fold priced.
+      queue_fold_.reset();
       ++result_.shed;
       result_.shed_records.push_back(
           ShedRecord{a.id, a.time, a.priority, verdict});
@@ -277,6 +267,9 @@ bool ServingCore::AdmitDue() {
     }
 
     pending_.push_back(a);
+    if (pending_fold_.has_value()) {
+      Extend(&*pending_fold_, a.cartridge, a.segment);
+    }
     ++result_.admitted;
     obs::IncrementCounter("online.admitted");
     if (obs::TraceRecorder* rec = obs::TraceRecorder::active()) {
@@ -332,6 +325,10 @@ ServingStep ServingCore::Step() {
 }
 
 void ServingCore::Dispatch() {
+  // The batch leaves the queue and moves the head, maybe the cartridge.
+  pending_fold_.reset();
+  queue_fold_.reset();
+
   // ---- batch selection ----
   // Uncapped: everything pending boards in arrival order (the queue-sim
   // batch, bit for bit). Capped: over-aged requests board first (the

@@ -20,6 +20,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "serpentine/drive/health_drive.h"
 #include "serpentine/drive/model_drive.h"
 #include "serpentine/sched/registry.h"
+#include "serpentine/sched/step_planner.h"
 #include "serpentine/sim/online_server.h"
 #include "serpentine/tape/locate_model.h"
 
@@ -148,7 +150,9 @@ class ServingCore {
   bool breaker_open() const;
   /// FIFO completion estimate (seconds from this core's clock) of every
   /// request queued here plus a candidate read at (cartridge, segment) —
-  /// the router's service-time score, cartridge switches included. Pure.
+  /// the router's service-time score, cartridge switches included. One
+  /// planner step past the running fold of the queue (see ChainFold);
+  /// observably pure.
   double EstimateServiceSeconds(int cartridge,
                                 tape::SegmentId segment) const;
 
@@ -171,9 +175,29 @@ class ServingCore {
   void SwitchCartridge(int cartridge);
   void ExecuteGroup(const std::vector<ServingRequest>& members,
                     const sched::Schedule& schedule);
-  double FifoEstimateSeconds(const ServingRequest& candidate) const;
-  double EstimateChainSeconds(
-      const std::vector<std::pair<int, tape::SegmentId>>& chain) const;
+
+  /// The FIFO price of the queue's requests in push order, as far as they
+  /// have been folded in: every cartridge run before the open one, with
+  /// the rewind and exchange into the open run, summed in `closed`; the
+  /// open run's planner and its locate and read sums. Extending it adds in
+  /// the order a full re-price of the chain would, run by run and step by
+  /// step, so its total equals that re-price bit for bit.
+  struct ChainFold {
+    double closed = 0.0;
+    int cartridge = 0;
+    sched::StepPlanner planner;
+    double locate = 0.0;
+    double read = 0.0;
+
+    double total() const { return closed + (locate + read); }
+  };
+  /// Folds one more FIFO read at (cartridge, segment) into `fold`.
+  void Extend(ChainFold* fold, int cartridge, tape::SegmentId segment) const;
+  /// The fold after pending_ (deadline admission prices against it) and
+  /// after pending_ + routed_ (router bids), rebuilt from the drive head
+  /// when stale: Dispatch stales both, a shed stales the second.
+  const ChainFold& PendingFold() const;
+  const ChainFold& QueueFold() const;
 
   std::vector<const tape::LocateModel*> models_;
   OnlineServerConfig config_;
@@ -197,6 +221,10 @@ class ServingCore {
   double clock_ = 0.0;
   std::deque<ServingRequest> routed_;
   std::deque<ServingRequest> pending_;
+  /// Caches behind PendingFold and QueueFold; empty when stale. A fresh
+  /// queue fold implies a fresh pending fold.
+  mutable std::optional<ChainFold> pending_fold_;
+  mutable std::optional<ChainFold> queue_fold_;
   double input_bound_ = 0.0;
   bool stream_done_ = false;
 

@@ -1,6 +1,7 @@
 #include "serpentine/store/store.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "serpentine/sched/estimator.h"
 #include "serpentine/sim/recovering_executor.h"
@@ -155,10 +156,11 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
                            algorithm, options_.scheduler_options));
 
   // The paper's crossover: beyond ~1536 uniform requests a LOSS schedule
-  // is no faster than reading the whole tape.
+  // is no faster than reading the whole tape. Both sides start at the
+  // head: the schedule's first locate, and the full pass's locate home.
   if (options_.auto_full_read &&
       sched::EstimateScheduleSeconds(model, schedule) >
-          model.FullReadAndRewindSeconds()) {
+          sched::ReadBoundSeconds(model, library_.head_position())) {
     ++report->full_scans;
     schedule.full_tape_scan = true;
   }
@@ -170,7 +172,9 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
                     ? model.LocateSeconds(drive.Position(), 0)
                     : 0.0;
   double clock = library_.now() + lead;
-  std::map<std::pair<tape::SegmentId, int64_t>, std::vector<size_t>>
+  // Identical submissions complete oldest first, as the serving core
+  // matches them.
+  std::map<std::pair<tape::SegmentId, int64_t>, std::deque<size_t>>
       by_request;
   for (size_t i = 0; i < batch.size(); ++i) {
     by_request[{batch[i].request.segment, batch[i].request.count}]
@@ -182,8 +186,8 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
             clock += step;
             auto& ids = by_request[{r.segment, r.count}];
             SERPENTINE_CHECK(!ids.empty());
-            const PendingRead& p = batch[ids.back()];
-            ids.pop_back();
+            const PendingRead& p = batch[ids.front()];
+            ids.pop_front();
             report->completed.push_back(CompletedRead{
                 p.id, tape, p.request, p.submit_seconds, clock, false});
             for (int64_t i = 0; i < r.count && i < 64; ++i) {

@@ -73,6 +73,7 @@ TapeGeometry TapeGeometry::Generate(const TapeParams& params, int32_t seed) {
   }
   g.track_start_[tracks] = next;
   g.total_segments_ = next;
+  g.BuildSpanTable();
   return g;
 }
 
@@ -125,6 +126,7 @@ serpentine::StatusOr<TapeGeometry> TapeGeometry::FromKeyPoints(
     for (int s = 0; s <= sections; ++s) pb[s] = nominal_width * s;
   }
   g.track_start_[tracks] = total_segments;
+  g.BuildSpanTable();
   return g;
 }
 
@@ -223,6 +225,15 @@ TapeGeometry::Locus TapeGeometry::LocusOnTrack(int track,
   return locus;
 }
 
+void TapeGeometry::BuildSpanTable() {
+  through_track_distance_.resize(params_.num_tracks);
+  for (int t = 0; t < params_.num_tracks; ++t) {
+    double end = IsForwardTrack(t) ? params_.physical_sections : 0.0;
+    through_track_distance_[t] =
+        std::abs(end - LocusOnTrack(t, track_start_[t]).position);
+  }
+}
+
 TapeGeometry::ReadSpan TapeGeometry::SequentialSpan(SegmentId from,
                                                     SegmentId to) const {
   SERPENTINE_CHECK_LE(from, to);
@@ -230,19 +241,26 @@ TapeGeometry::ReadSpan TapeGeometry::SequentialSpan(SegmentId from,
   int t0 = TrackOf(from);
   int t1 = TrackOf(to);
   span.track_switches = t1 - t0;
-  for (int t = t0; t <= t1; ++t) {
-    SegmentId a = std::max(from, track_start_[t]);
-    SegmentId b = std::min(to, track_start_[t + 1] - 1);
+  // The partial distance on track t: from `a` (or the track start) to past
+  // `b` (or the far edge of the track, where reading runs off its end:
+  // the high physical edge on forward tracks, BOT on reverse tracks).
+  auto on_track = [&](int t, SegmentId a, SegmentId b) {
     double start = LocusOnTrack(t, a).position;
-    double end;
-    if (b + 1 < track_start_[t + 1]) {
-      end = LocusOnTrack(t, b + 1).position;
-    } else {
-      // Reading runs to the end of the track: the far physical edge on
-      // forward tracks, BOT on reverse tracks.
-      end = IsForwardTrack(t) ? params_.physical_sections : 0.0;
-    }
-    span.physical_distance += std::abs(end - start);
+    double end = b + 1 < track_start_[t + 1]
+                     ? LocusOnTrack(t, b + 1).position
+                     : (IsForwardTrack(t) ? params_.physical_sections : 0.0);
+    return std::abs(end - start);
+  };
+  // Tracks are summed in order, as a per-track walk would sum them; every
+  // track strictly inside the span is read whole, so its term comes from
+  // the table.
+  span.physical_distance +=
+      on_track(t0, from, std::min(to, track_start_[t0 + 1] - 1));
+  for (int t = t0 + 1; t < t1; ++t) {
+    span.physical_distance += through_track_distance_[t];
+  }
+  if (t1 > t0) {
+    span.physical_distance += on_track(t1, track_start_[t1], to);
   }
   return span;
 }

@@ -143,6 +143,8 @@ class TapeGeometry {
   /// `track`.
   Locus LocusOnTrack(int track, SegmentId seg) const;
   int ReadingSectionOnTrack(int track, SegmentId seg) const;
+  /// Fills through_track_distance_ once the layout is complete.
+  void BuildSpanTable();
 
   TapeParams params_;
   SegmentId total_segments_ = 0;
@@ -154,6 +156,10 @@ class TapeGeometry {
   std::vector<std::vector<PhysicalPos>> boundary_;
   // key_segment_[t][r]: logical segment at reading-order section r start.
   std::vector<std::vector<SegmentId>> key_segment_;
+  // through_track_distance_[t]: physical distance of reading all of track
+  // t, the term SequentialSpan adds for every track strictly inside a
+  // span, computed by the same expression.
+  std::vector<double> through_track_distance_;
 };
 
 }  // namespace serpentine::tape

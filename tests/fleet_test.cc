@@ -41,8 +41,8 @@ TEST(CatalogTest, SingleLibraryReplicationOneIsTheIdentityMapping) {
   ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
   ASSERT_EQ(catalog->num_logical(), 7);
   for (int64_t i = 0; i < 7; ++i) {
-    const std::vector<ReplicaLocation>& r = catalog->replicas(i);
-    ASSERT_EQ(r.size(), 1u);
+    const ReplicaList r = catalog->replicas(i);
+    ASSERT_EQ(r.size(), 1);
     EXPECT_EQ(r[0].library, 0);
     EXPECT_EQ(r[0].cartridge, i < 4 ? 0 : 1);
     EXPECT_EQ(r[0].segment, i < 4 ? i : i - 4);
@@ -63,8 +63,8 @@ TEST(CatalogTest, RoundRobinBalancesAndSeparatesReplicas) {
   }
   EXPECT_LE(hi - lo, 1);
   for (int64_t i = 0; i < catalog->num_logical(); ++i) {
-    const std::vector<ReplicaLocation>& r = catalog->replicas(i);
-    ASSERT_EQ(r.size(), 2u);
+    const ReplicaList r = catalog->replicas(i);
+    ASSERT_EQ(r.size(), 2);
     EXPECT_NE(r[0].library, r[1].library)
         << "replicas of logical " << i << " share a library";
   }
@@ -193,8 +193,9 @@ class RouterTest : public ::testing::Test {
 };
 
 TEST_F(RouterTest, PicksTheCheapestReplica) {
-  Router router(catalog_.get(), 3);
-  RouteDecision d = router.Route(0, {{5.0, false}, {3.0, false}, {9.0, false}});
+  Router router(3);
+  RouteDecision d = router.Route(catalog_->replicas(0),
+                                 {{5.0, false}, {3.0, false}, {9.0, false}});
   EXPECT_EQ(d.replica, 1);
   EXPECT_EQ(d.location, catalog_->replicas(0)[1]);
   EXPECT_EQ(d.score_seconds, 3.0);
@@ -202,15 +203,17 @@ TEST_F(RouterTest, PicksTheCheapestReplica) {
 }
 
 TEST_F(RouterTest, TiesBreakTowardTheLowerIndex) {
-  Router router(catalog_.get(), 3);
-  RouteDecision d = router.Route(2, {{3.0, false}, {3.0, false}, {5.0, false}});
+  Router router(3);
+  RouteDecision d = router.Route(catalog_->replicas(2),
+                                 {{3.0, false}, {3.0, false}, {5.0, false}});
   EXPECT_EQ(d.replica, 0);
   EXPECT_FALSE(d.failover);
 }
 
 TEST_F(RouterTest, FailsOverPastAnOpenBreaker) {
-  Router router(catalog_.get(), 3);
-  RouteDecision d = router.Route(1, {{2.0, true}, {4.0, false}, {9.0, false}});
+  Router router(3);
+  RouteDecision d = router.Route(catalog_->replicas(1),
+                                 {{2.0, true}, {4.0, false}, {9.0, false}});
   EXPECT_EQ(d.replica, 1);
   EXPECT_TRUE(d.failover);
   EXPECT_EQ(d.score_seconds, 4.0);
@@ -218,8 +221,9 @@ TEST_F(RouterTest, FailsOverPastAnOpenBreaker) {
 }
 
 TEST_F(RouterTest, AllBreakersOpenFallsBackToScoreOrder) {
-  Router router(catalog_.get(), 3);
-  RouteDecision d = router.Route(3, {{2.0, true}, {4.0, true}, {9.0, true}});
+  Router router(3);
+  RouteDecision d = router.Route(catalog_->replicas(3),
+                                 {{2.0, true}, {4.0, true}, {9.0, true}});
   EXPECT_EQ(d.replica, 0);
   EXPECT_FALSE(d.failover);
   EXPECT_EQ(router.failovers(), 0);
@@ -228,18 +232,20 @@ TEST_F(RouterTest, AllBreakersOpenFallsBackToScoreOrder) {
 TEST_F(RouterTest, FailoverCanBeDisabled) {
   RouterOptions options;
   options.failover_on_open_breaker = false;
-  Router router(catalog_.get(), 3, options);
-  RouteDecision d = router.Route(4, {{2.0, true}, {4.0, false}, {9.0, false}});
+  Router router(3, options);
+  RouteDecision d = router.Route(catalog_->replicas(4),
+                                 {{2.0, true}, {4.0, false}, {9.0, false}});
   EXPECT_EQ(d.replica, 0);
   EXPECT_FALSE(d.failover);
   EXPECT_EQ(router.failovers(), 0);
 }
 
 TEST_F(RouterTest, CountsDispatchesPerLibrary) {
-  Router router(catalog_.get(), 3);
+  Router router(3);
   // Round-robin catalog: logical i's replica 0 lives on library i mod 3.
   for (int64_t logical = 0; logical < 6; ++logical) {
-    (void)router.Route(logical, {{1.0, false}, {2.0, false}, {3.0, false}});
+    (void)router.Route(catalog_->replicas(logical),
+                       {{1.0, false}, {2.0, false}, {3.0, false}});
   }
   EXPECT_EQ(router.dispatches(), 6);
   const std::vector<int64_t>& per = router.dispatches_per_library();

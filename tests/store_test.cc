@@ -437,6 +437,78 @@ TEST(TertiaryStoreTest, FlushChargesTheScheduleEstimate) {
   }
 }
 
+TEST(TertiaryStoreTest, DuplicateSubmissionsCompleteOldestFirst) {
+  // FIFO order X, Y, X: the first X completes before Y, and the second X
+  // is read again after Y. The oldest X submission gets the earliest
+  // stamp, as the serving core matches duplicates.
+  StoreOptions options;
+  options.algorithm = sched::Algorithm::kFifo;
+  options.opt_cutoff = 0;
+  options.cache_segments = 0;
+  TertiaryStore store = MakeStore(options, 1);
+  auto oldest = store.SubmitRead(0, 200000);
+  ASSERT_TRUE(oldest.ok());
+  ASSERT_TRUE(store.SubmitRead(0, 100).ok());
+  auto newest = store.SubmitRead(0, 200000);
+  ASSERT_TRUE(newest.ok());
+  auto report = store.Flush();
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->completed.size(), 3u);
+  double oldest_done = -1.0;
+  double newest_done = -1.0;
+  for (const CompletedRead& c : report->completed) {
+    if (c.id == *oldest) oldest_done = c.complete_seconds;
+    if (c.id == *newest) newest_done = c.complete_seconds;
+  }
+  EXPECT_EQ(oldest_done, report->completed[0].complete_seconds);
+  EXPECT_LT(oldest_done, newest_done);
+}
+
+TEST(TertiaryStoreTest, FullReadTestCountsTheLocateHome) {
+  // With the head parked far from BOT, a FIFO batch whose estimate lies
+  // above a bare full pass but within the locate home plus that pass is
+  // cheaper to run than the full read the flush would charge: it must
+  // stay scheduled.
+  StoreOptions options;
+  options.algorithm = sched::Algorithm::kFifo;
+  options.opt_cutoff = 0;
+  options.cache_segments = 0;
+  TertiaryStore store = MakeStore(options, 1);
+  const tape::LocateModel& model = store.library().model(0);
+  // The end of track 0 sits at the physical far end of the tape.
+  ASSERT_TRUE(
+      store.SubmitRead(0, model.geometry().track_start(1) - 1).ok());
+  ASSERT_TRUE(store.Flush().ok());
+  const SegmentId head = store.library().head_position();
+  const double full_pass = model.FullReadAndRewindSeconds();
+  const double bound = sched::ReadBoundSeconds(model, head);
+  ASSERT_GT(bound, full_pass);
+
+  // The shortest prefix of a random stream whose FIFO estimate passes
+  // the bare full pass; FIFO estimates only grow with the prefix.
+  Lrand48 rng(17);
+  const SegmentId total = model.geometry().total_segments();
+  std::vector<sched::Request> reads;
+  double estimate = 0.0;
+  while (estimate <= full_pass) {
+    reads.push_back({rng.NextBounded(total), 1});
+    sched::Schedule fifo;
+    fifo.initial_position = head;
+    fifo.order = reads;
+    estimate = sched::EstimateScheduleSeconds(model, fifo);
+  }
+  ASSERT_LE(estimate, bound) << reads.size() << " reads";
+
+  for (const sched::Request& r : reads) {
+    ASSERT_TRUE(store.SubmitRead(0, r.segment).ok());
+  }
+  const double busy = store.library().busy_seconds();
+  auto report = store.Flush();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->full_scans, 0);
+  EXPECT_DOUBLE_EQ(store.library().busy_seconds() - busy, estimate);
+}
+
 TEST(TertiaryStoreTest, BatchingImprovesPerRequestService) {
   // The paper's headline: scheduling a batch beats FIFO-style one-at-a-
   // time service. Compare drive-busy time per request.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "serpentine/tape/params.h"
 #include "serpentine/util/lrand48.h"
 
@@ -269,6 +274,100 @@ TEST(TapeGeometryTest, SequentialSpanAcrossOneTurnaround) {
   EXPECT_EQ(span.track_switches, 1);
   // Both segments sit at the physical end of tape.
   EXPECT_LT(span.physical_distance, 0.05);
+}
+
+// The per-track walk SequentialSpan did before its whole-track terms came
+// from a table, kept as the oracle: two locus lookups on every track from
+// `from`'s to `to`'s, summed in track order. LocusOf(seg) is the track's
+// own LocusOnTrack bit for bit.
+TapeGeometry::ReadSpan WalkedSpan(const TapeGeometry& g, SegmentId from,
+                                  SegmentId to) {
+  TapeGeometry::ReadSpan span;
+  int t0 = g.TrackOf(from);
+  int t1 = g.TrackOf(to);
+  span.track_switches = t1 - t0;
+  for (int t = t0; t <= t1; ++t) {
+    SegmentId a = std::max(from, g.track_start(t));
+    SegmentId b = std::min(to, g.track_start(t + 1) - 1);
+    double start = g.LocusOf(a).position;
+    double end;
+    if (b + 1 < g.track_start(t + 1)) {
+      end = g.LocusOf(b + 1).position;
+    } else {
+      end = g.IsForwardTrack(t) ? g.params().physical_sections : 0.0;
+    }
+    span.physical_distance += std::abs(end - start);
+  }
+  return span;
+}
+
+// Counts spans whose distance or switch count differs from the walk, bit
+// for bit, and reports the first.
+void ExpectSpansMatchWalk(const TapeGeometry& g,
+                          const std::vector<std::pair<SegmentId, SegmentId>>&
+                              spans) {
+  int64_t mismatches = 0;
+  for (const auto& [from, to] : spans) {
+    TapeGeometry::ReadSpan got = g.SequentialSpan(from, to);
+    TapeGeometry::ReadSpan want = WalkedSpan(g, from, to);
+    if (got.physical_distance != want.physical_distance ||
+        got.track_switches != want.track_switches) {
+      if (mismatches == 0) {
+        ADD_FAILURE() << "span [" << from << ", " << to << "]: "
+                      << got.physical_distance << " vs walked "
+                      << want.physical_distance;
+      }
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << spans.size() << " spans";
+}
+
+TEST(TapeGeometryTest, SequentialSpanEqualsTheTrackWalkOnEveryBoundaryPair) {
+  // Every (track, section) boundary on both sides: each key point and the
+  // segment before it, plus the last segment on tape, paired as span ends.
+  TapeGeometry g = Dlt4000();
+  std::vector<SegmentId> ends;
+  for (const TapeGeometry::KeyPoint& kp : g.AllKeyPoints()) {
+    if (kp.segment > 0) ends.push_back(kp.segment - 1);
+    ends.push_back(kp.segment);
+  }
+  ends.push_back(g.total_segments() - 1);
+  std::vector<std::pair<SegmentId, SegmentId>> spans;
+  for (SegmentId from : ends) {
+    for (SegmentId to : ends) {
+      if (from <= to) spans.emplace_back(from, to);
+    }
+  }
+  ExpectSpansMatchWalk(g, spans);
+}
+
+TEST(TapeGeometryTest, SequentialSpanEqualsTheTrackWalkOnRandomPairs) {
+  Lrand48 rng(31);
+  TapeGeometry generated = Dlt4000(3);
+  std::vector<std::vector<SegmentId>> keys(generated.num_tracks());
+  for (int t = 0; t < generated.num_tracks(); ++t) {
+    for (int r = 0; r < generated.sections_per_track(); ++r) {
+      keys[t].push_back(generated.KeyPointSegment(t, r));
+    }
+  }
+  // A calibrated geometry (nominal boundaries) builds its table too.
+  auto calibrated = TapeGeometry::FromKeyPoints(
+      generated.params(), keys, generated.total_segments());
+  ASSERT_TRUE(calibrated.ok()) << calibrated.status().ToString();
+  for (const TapeGeometry* g : {&generated, &*calibrated}) {
+    const SegmentId total = g->total_segments();
+    std::vector<std::pair<SegmentId, SegmentId>> spans;
+    for (int k = 0; k < 20000; ++k) {
+      SegmentId a = rng.NextBounded(total);
+      // Half the spans are short, inside one or two tracks.
+      SegmentId b = k % 2 == 0
+                        ? std::min(total - 1, a + rng.NextBounded(20000))
+                        : rng.NextBounded(total);
+      spans.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    ExpectSpansMatchWalk(*g, spans);
+  }
 }
 
 TEST(TapeGeometryTest, AllKeyPointsEnumerates) {

@@ -194,6 +194,18 @@ for config in $CONFIGS; do
       echo "python3 not on PATH; skipping the determinism check"
     fi
     echo "== determinism: OK =="
+
+    # Modeled-value pin across commits: every modeled value of every
+    # perfbench workload at seeds 1 and 7919 must equal the committed
+    # BENCH_perfbench.json; host metrics are reported against the
+    # BENCHMARK.json bounds.
+    echo "== bench diff: tools/bench_diff.py --seconds 1 =="
+    if command -v python3 >/dev/null 2>&1; then
+      python3 tools/bench_diff.py --seconds 1
+    else
+      echo "python3 not on PATH; skipping the bench diff"
+    fi
+    echo "== bench diff: OK =="
   fi
 done
 
