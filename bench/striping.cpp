@@ -31,7 +31,7 @@ int main() {
       std::vector<tape::SegmentId> batch;
       for (int i = 0; i < kBatch; ++i)
         batch.push_back(gen.NextBounded(volume.logical_segments()));
-      auto r = volume.ExecuteBatch(batch, sched::Algorithm::kLoss);
+      auto r = volume.ExecuteBatch(batch, "loss");
       if (!r.ok()) return 1;
       makespan_sum += r->makespan_seconds;
       total_sum += r->total_drive_seconds;

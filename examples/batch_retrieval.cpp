@@ -23,7 +23,6 @@ struct PolicyResult {
 
 PolicyResult Run(int flush_every, int objects) {
   store::StoreOptions options;
-  options.algorithm = sched::Algorithm::kLoss;
   options.cache_segments = 0;
   store::TertiaryStore st(
       options, store::TapeLibrary(tape::Dlt4000TapeParams(), /*cartridges=*/1,

@@ -13,7 +13,6 @@ using namespace serpentine;
 int main() {
   constexpr int kCartridges = 6;
   store::StoreOptions options;
-  options.algorithm = sched::Algorithm::kLoss;
   options.cache_segments = 16384;  // 512 MB of 32 KB segments
   store::TertiaryStore st(
       options, store::TapeLibrary(tape::Dlt4000TapeParams(), kCartridges,

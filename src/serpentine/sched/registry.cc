@@ -9,6 +9,7 @@
 #include "serpentine/sched/estimator.h"
 #include "serpentine/sched/internal.h"
 #include "serpentine/sched/local_search.h"
+#include "serpentine/tsp/exact.h"
 
 namespace serpentine::sched {
 namespace {
@@ -134,12 +135,13 @@ const Registry& Registry::Default() {
     auto* r = new Registry();
     struct Base {
       Algorithm algorithm;
-      const char* description;
+      std::string description;
     };
     const Base bases[] = {
         {Algorithm::kRead, "full-tape sequential scan, then rewind"},
         {Algorithm::kFifo, "service in arrival order"},
-        {Algorithm::kOpt, "exact optimum (n <= 12)"},
+        {Algorithm::kOpt, "exact optimum (n <= " +
+                              std::to_string(tsp::kMaxHeldKarpCities) + ")"},
         {Algorithm::kSort, "ascending segment number"},
         {Algorithm::kSltf, "shortest locate time first (section-based)"},
         {Algorithm::kScan, "elevator over (track, section)"},
@@ -247,6 +249,26 @@ const Registry& Registry::Default() {
         search.insertion_window = 64;
         ImproveSchedule(model, &schedule, search);
         return schedule;
+      };
+      r->Register(std::move(entry));
+    }
+    {
+      RegistryEntry entry;
+      entry.name = "opt-small";
+      entry.algorithm = Algorithm::kLoss;
+      entry.description = "exact optimum for n <= " +
+                          std::to_string(kOptSmallMaxRequests) +
+                          ", LOSS above (the paper's section 5 rule)";
+      entry.build = [](const tape::LocateModel& model,
+                       tape::SegmentId initial_position,
+                       std::vector<Request> requests,
+                       const SchedulerOptions& options) {
+        Algorithm algorithm =
+            static_cast<int>(requests.size()) <= kOptSmallMaxRequests
+                ? Algorithm::kOpt
+                : Algorithm::kLoss;
+        return BuildSchedule(model, initial_position, std::move(requests),
+                             algorithm, options);
       };
       r->Register(std::move(entry));
     }

@@ -5,7 +5,8 @@
 // The default registry carries the paper's nine algorithms under their
 // AlgorithmName spellings, plus the named variants the paper discusses:
 // "loss-coalesced" (LOSS with the recommended 1410-segment coalescing
-// threshold) and "sltf-naive" (the textbook O(n²) greedy SLTF).
+// threshold), "sltf-naive" (the textbook O(n²) greedy SLTF) and
+// "opt-small" (the paper's §5 rule: OPT up to 10 requests, LOSS above).
 #ifndef SERPENTINE_SCHED_REGISTRY_H_
 #define SERPENTINE_SCHED_REGISTRY_H_
 
@@ -20,6 +21,10 @@
 #include "serpentine/util/statusor.h"
 
 namespace serpentine::sched {
+
+/// Largest batch the "opt-small" entry hands to OPT (paper §5: "OPT is
+/// recommended for scheduling up to 10 locates").
+inline constexpr int kOptSmallMaxRequests = 10;
 
 /// One registered scheduler configuration.
 struct RegistryEntry {
@@ -75,7 +80,8 @@ class Registry {
   std::vector<std::string> names() const;
 
   /// The shared default registry: every Algorithm under its AlgorithmName,
-  /// plus the "loss-coalesced" and "sltf-naive" variants.
+  /// plus the named variants ("loss-coalesced", "sltf-naive", ...,
+  /// "opt-small").
   static const Registry& Default();
 
  private:

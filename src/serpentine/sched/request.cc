@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
+
+#include "serpentine/util/check.h"
 
 namespace serpentine::sched {
 
@@ -56,6 +59,31 @@ bool IsPermutationOfRequests(const Schedule& schedule,
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   return a == b;
+}
+
+OldestFirstMatcher::OldestFirstMatcher(const std::vector<Request>& submitted)
+    : taken_(submitted.size(), 0) {
+  slots_.reserve(submitted.size());
+  for (size_t i = 0; i < submitted.size(); ++i) {
+    slots_.emplace_back(submitted[i], i);
+  }
+  std::sort(slots_.begin(), slots_.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.first.segment, a.first.count, a.second) <
+           std::tie(b.first.segment, b.first.count, b.second);
+  });
+}
+
+size_t OldestFirstMatcher::Take(const Request& r) {
+  auto run = std::lower_bound(
+      slots_.begin(), slots_.end(), r, [](const auto& slot, const Request& key) {
+        return std::tie(slot.first.segment, slot.first.count) <
+               std::tie(key.segment, key.count);
+      });
+  SERPENTINE_CHECK(run != slots_.end() && run->first == r);
+  size_t first = static_cast<size_t>(run - slots_.begin());
+  size_t i = first + taken_[first]++;
+  SERPENTINE_CHECK(i < slots_.size() && slots_[i].first == r);
+  return slots_[i].second;
 }
 
 }  // namespace serpentine::sched

@@ -2,8 +2,10 @@
 #ifndef SERPENTINE_SCHED_REQUEST_H_
 #define SERPENTINE_SCHED_REQUEST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "serpentine/tape/types.h"
@@ -74,6 +76,25 @@ struct Schedule {
 /// True iff `schedule.order` is a permutation of `requests` (same multiset).
 bool IsPermutationOfRequests(const Schedule& schedule,
                              const std::vector<Request>& requests);
+
+/// Matches executed requests back to the submissions they serve. Identical
+/// submissions complete oldest first: each Take(r) returns the index, in
+/// the vector the matcher was built from, of the oldest submission equal
+/// to `r` that no earlier Take returned.
+class OldestFirstMatcher {
+ public:
+  explicit OldestFirstMatcher(const std::vector<Request>& submitted);
+
+  /// CHECK-fails when every submission equal to `r` is already taken.
+  size_t Take(const Request& r);
+
+ private:
+  /// (request, submission index), sorted by both: equal requests form one
+  /// run in submission order.
+  std::vector<std::pair<Request, size_t>> slots_;
+  /// At each run's first slot: how many of the run are taken.
+  std::vector<size_t> taken_;
+};
 
 }  // namespace serpentine::sched
 

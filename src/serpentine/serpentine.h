@@ -37,7 +37,6 @@
 #include "serpentine/sched/registry.h"
 #include "serpentine/sched/request.h"
 #include "serpentine/sched/scheduler.h"
-#include "serpentine/sched/selector.h"
 #include "serpentine/sched/step_planner.h"
 #include "serpentine/sched/weave_pattern.h"
 

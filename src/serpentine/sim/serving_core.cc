@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "serpentine/obs/metrics.h"
@@ -463,7 +462,7 @@ void ServingCore::Dispatch() {
                                          config_.scheduler_options);
     }
     SERPENTINE_CHECK(schedule.ok());
-    ExecuteGroup(group, *schedule);
+    ExecuteGroup(group, batch, *schedule);
   }
 
   if (config_.degradation.enabled) {
@@ -515,22 +514,15 @@ void ServingCore::SwitchCartridge(int cartridge) {
 }
 
 void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
+                               const std::vector<sched::Request>& requests,
                                const sched::Schedule& schedule) {
   const tape::LocateModel& model = *models_[mounted_];
 
-  // Completion matching by segment, with deadline-miss accounting layered
-  // on. Duplicates resolve to the oldest unmatched member — the
-  // per-segment FIFO picks exactly the request the old linear first-undone
-  // scan did, without the O(batch²) cost.
-  std::unordered_map<tape::SegmentId, std::deque<size_t>> waiting;
-  for (size_t i = 0; i < members.size(); ++i) {
-    waiting[members[i].segment].push_back(i);
-  }
-  auto complete = [&](tape::SegmentId segment, double at, bool ok) {
-    auto it = waiting.find(segment);
-    SERPENTINE_CHECK(it != waiting.end() && !it->second.empty());
-    size_t i = it->second.front();
-    it->second.pop_front();
+  // Completion matching, with deadline-miss accounting layered on.
+  // Duplicates resolve to the oldest unmatched member.
+  sched::OldestFirstMatcher matcher(requests);
+  auto complete = [&](const sched::Request& request, double at, bool ok) {
+    size_t i = matcher.Take(request);
     responses_.push_back(at - members[i].time);
     if (ok) {
       ++result_.completed;
@@ -568,7 +560,7 @@ void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
           .Execute(schedule,
                    [&](const sched::Request& req, double step, bool ok) {
                      spend(step);
-                     complete(req.segment, clock_, ok);
+                     complete(req, clock_, ok);
                    });
   spend(res.tail_seconds);
   result_.fault_retries += res.retries;

@@ -173,7 +173,10 @@ class ServingCore {
   /// Swaps `cartridge` under the drive stack: rewind the mounted tape,
   /// charge the exchange, repoint the breaker decorator.
   void SwitchCartridge(int cartridge);
+  /// Runs `schedule` over one cartridge's `members`; `requests` holds
+  /// each member's sched::Request, in the same order.
   void ExecuteGroup(const std::vector<ServingRequest>& members,
+                    const std::vector<sched::Request>& requests,
                     const sched::Schedule& schedule);
 
   /// The FIFO price of the queue's requests in push order, as far as they

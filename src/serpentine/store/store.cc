@@ -1,9 +1,8 @@
 #include "serpentine/store/store.h"
 
 #include <algorithm>
-#include <deque>
 
-#include "serpentine/sched/estimator.h"
+#include "serpentine/sched/registry.h"
 #include "serpentine/sim/recovering_executor.h"
 #include "serpentine/util/check.h"
 
@@ -94,6 +93,8 @@ size_t TertiaryStore::pending() const {
 }
 
 serpentine::StatusOr<FlushReport> TertiaryStore::Flush() {
+  SERPENTINE_RETURN_IF_ERROR(
+      sched::Registry::Default().Resolve(options_.scheduler).status());
   FlushReport report;
   report.completed = std::move(immediate_completions_);
   immediate_completions_.clear();
@@ -144,26 +145,14 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
   std::vector<sched::Request> requests;
   requests.reserve(batch.size());
   for (const PendingRead& p : batch) requests.push_back(p.request);
-
-  sched::Algorithm algorithm = options_.algorithm;
-  if (options_.opt_cutoff > 0 &&
-      static_cast<int>(requests.size()) <= options_.opt_cutoff) {
-    algorithm = sched::Algorithm::kOpt;
-  }
+  // Identical submissions complete oldest first, as in the serving core.
+  sched::OldestFirstMatcher matcher(requests);
   SERPENTINE_ASSIGN_OR_RETURN(
       sched::Schedule schedule,
-      sched::BuildSchedule(model, library_.head_position(), requests,
-                           algorithm, options_.scheduler_options));
-
-  // The paper's crossover: beyond ~1536 uniform requests a LOSS schedule
-  // is no faster than reading the whole tape. Both sides start at the
-  // head: the schedule's first locate, and the full pass's locate home.
-  if (options_.auto_full_read &&
-      sched::EstimateScheduleSeconds(model, schedule) >
-          sched::ReadBoundSeconds(model, library_.head_position())) {
-    ++report->full_scans;
-    schedule.full_tape_scan = true;
-  }
+      sched::Registry::Default().Build(model, library_.head_position(),
+                                       std::move(requests),
+                                       options_.scheduler));
+  if (schedule.full_tape_scan) ++report->full_scans;
 
   // Run the schedule on the mounted drive; each completion is stamped
   // when its step ends (a full-tape pass first moves the head home).
@@ -172,22 +161,11 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
                     ? model.LocateSeconds(drive.Position(), 0)
                     : 0.0;
   double clock = library_.now() + lead;
-  // Identical submissions complete oldest first, as the serving core
-  // matches them.
-  std::map<std::pair<tape::SegmentId, int64_t>, std::deque<size_t>>
-      by_request;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    by_request[{batch[i].request.segment, batch[i].request.count}]
-        .push_back(i);
-  }
   sim::RecoveringExecutionResult run =
       sim::RecoveringExecutor(drive, model)
           .Execute(schedule, [&](const sched::Request& r, double step, bool) {
             clock += step;
-            auto& ids = by_request[{r.segment, r.count}];
-            SERPENTINE_CHECK(!ids.empty());
-            const PendingRead& p = batch[ids.front()];
-            ids.pop_front();
+            const PendingRead& p = batch[matcher.Take(r)];
             report->completed.push_back(CompletedRead{
                 p.id, tape, p.request, p.submit_seconds, clock, false});
             for (int64_t i = 0; i < r.count && i < 64; ++i) {

@@ -7,10 +7,10 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "serpentine/sched/request.h"
-#include "serpentine/sched/scheduler.h"
 #include "serpentine/store/segment_cache.h"
 #include "serpentine/store/tape_library.h"
 #include "serpentine/util/statusor.h"
@@ -19,20 +19,13 @@ namespace serpentine::store {
 
 /// Store-level policy.
 struct StoreOptions {
-  /// Scheduling algorithm for each per-tape batch (paper's guidance: LOSS;
-  /// OPT engages automatically for batches it can solve exactly).
-  sched::Algorithm algorithm = sched::Algorithm::kLoss;
-  sched::SchedulerOptions scheduler_options;
-  /// Use OPT instead of `algorithm` for batches of at most this many
-  /// requests (paper §5: "OPT is recommended for scheduling up to 10
-  /// locates"). 0 disables.
-  int opt_cutoff = 10;
+  /// sched::Registry::Default() entry that schedules each per-tape batch.
+  /// The default is the paper's §5 rule: OPT up to 10 requests, LOSS above,
+  /// and (as for every registry entry) never slower than one ascending
+  /// pass, which the paper's "just read the entire tape" bounds.
+  std::string scheduler = "opt-small";
   /// Cache capacity in segments (0 disables caching).
   size_t cache_segments = 8192;
-  /// When a batch's scheduled execution would take longer than reading the
-  /// entire tape, do the full read instead (paper §5: "for more than 1536
-  /// requests just read the entire tape").
-  bool auto_full_read = true;
   /// When true, cartridges start empty: data must be loaded with Append()
   /// and reads beyond the end of data are rejected. When false (the
   /// paper's setting) cartridges arrive fully written.
@@ -93,9 +86,11 @@ class TertiaryStore {
   size_t pending() const;
 
   /// Mounts, schedules, and executes everything pending. Tapes with more
-  /// pending requests are mounted first. Each tape's schedule runs through
+  /// pending requests are mounted first. Each tape's batch is built by the
+  /// `options.scheduler` registry entry and runs through
   /// sim::RecoveringExecutor on the mounted drive, so its drive time is
-  /// what sched::EstimateScheduleSeconds prices.
+  /// what sched::EstimateScheduleSeconds prices. An unknown scheduler name
+  /// fails InvalidArgument before any tape is mounted.
   serpentine::StatusOr<FlushReport> Flush();
 
   TapeLibrary& library() { return library_; }

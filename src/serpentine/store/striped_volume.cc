@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "serpentine/drive/model_drive.h"
+#include "serpentine/sched/registry.h"
 #include "serpentine/sim/executor.h"
 #include "serpentine/util/check.h"
 
@@ -36,8 +37,7 @@ serpentine::StatusOr<StripeLocation> StripedVolume::Locate(
 
 serpentine::StatusOr<StripedBatchResult> StripedVolume::ExecuteBatch(
     const std::vector<tape::SegmentId>& logical_segments,
-    sched::Algorithm algorithm, const sched::SchedulerOptions& options,
-    std::vector<tape::SegmentId>* head) const {
+    std::string_view scheduler, std::vector<tape::SegmentId>* head) const {
   int k = num_drives();
   std::vector<std::vector<sched::Request>> shares(k);
   for (tape::SegmentId logical : logical_segments) {
@@ -61,8 +61,8 @@ serpentine::StatusOr<StripedBatchResult> StripedVolume::ExecuteBatch(
     if (shares[d].empty()) continue;
     SERPENTINE_ASSIGN_OR_RETURN(
         sched::Schedule schedule,
-        sched::BuildSchedule(*models_[d], positions[d], shares[d],
-                             algorithm, options));
+        sched::Registry::Default().Build(*models_[d], positions[d],
+                                         std::move(shares[d]), scheduler));
     // Each drive runs its share on its own stateful head; the executor's
     // final position feeds the next batch (full scans end rewound only in
     // their own accounting — an empty order leaves the head untouched,

@@ -2,16 +2,15 @@
 // several cartridges, each in its own drive, serviced in parallel. The
 // paper's related work covers exactly this ([DK93] "Striped tape arrays";
 // [GMW95] striping in robotic libraries); striping composes with
-// scheduling — each drive runs its own LOSS schedule over its share of a
-// batch, and the batch finishes when the slowest drive does.
+// scheduling — each drive runs its own schedule over its share of a batch,
+// and the batch finishes when the slowest drive does.
 #ifndef SERPENTINE_STORE_STRIPED_VOLUME_H_
 #define SERPENTINE_STORE_STRIPED_VOLUME_H_
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
-#include "serpentine/sched/request.h"
-#include "serpentine/sched/scheduler.h"
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/util/statusor.h"
 
@@ -64,14 +63,14 @@ class StripedVolume {
   }
 
   /// Splits a batch of logical reads across the drives, schedules each
-  /// drive's share with `algorithm`, and returns the parallel execution
-  /// profile. Heads start at the per-drive positions in `head` (all 0 if
-  /// empty); on return `head` holds the final positions (pass nullptr to
-  /// ignore).
+  /// drive's share with the sched::Registry::Default() entry `scheduler`,
+  /// and returns the parallel execution profile. Heads start at the
+  /// per-drive positions in `head` (all 0 if empty); on return `head`
+  /// holds the final positions (pass nullptr to ignore). An unknown
+  /// scheduler name fails InvalidArgument at the first drive with work.
   serpentine::StatusOr<StripedBatchResult> ExecuteBatch(
       const std::vector<tape::SegmentId>& logical_segments,
-      sched::Algorithm algorithm,
-      const sched::SchedulerOptions& options = {},
+      std::string_view scheduler,
       std::vector<tape::SegmentId>* head = nullptr) const;
 
  private:

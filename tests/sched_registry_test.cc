@@ -11,6 +11,7 @@
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/sim/experiment.h"
 #include "serpentine/tape/locate_model.h"
+#include "serpentine/tsp/exact.h"
 #include "serpentine/util/lrand48.h"
 
 namespace serpentine::sched {
@@ -87,9 +88,18 @@ TEST(DefaultRegistryTest, CarriesEveryAlgorithmUnderItsName) {
     EXPECT_NE(entry->build, nullptr);
     EXPECT_FALSE(entry->description.empty());
   }
-  // Nine paper algorithms + five named variants (loss-coalesced,
-  // sltf-naive, ltsp-exact, loss-mt, loss-mt-oropt).
-  EXPECT_EQ(registry.entries().size(), 14u);
+  // Nine paper algorithms + six named variants (loss-coalesced,
+  // sltf-naive, ltsp-exact, loss-mt, loss-mt-oropt, opt-small).
+  EXPECT_EQ(registry.entries().size(), 15u);
+}
+
+TEST(DefaultRegistryTest, OptDescriptionNamesTheHeldKarpLimit) {
+  // ScheduleOpt accepts up to tsp::kMaxHeldKarpCities requests.
+  const RegistryEntry* opt = Registry::Default().Find("opt");
+  ASSERT_NE(opt, nullptr);
+  EXPECT_EQ(opt->description,
+            "exact optimum (n <= " +
+                std::to_string(tsp::kMaxHeldKarpCities) + ")");
 }
 
 TEST(DefaultRegistryTest, LabelsMatchThePaperFigures) {
@@ -138,7 +148,7 @@ TEST(DefaultRegistryTest, ResolveExplainsWhatIsRegistered) {
 
 TEST(DefaultRegistryTest, NamesPreserveRegistrationOrder) {
   std::vector<std::string> names = Registry::Default().names();
-  ASSERT_EQ(names.size(), 14u);
+  ASSERT_EQ(names.size(), 15u);
   // The paper's order first, variants appended.
   EXPECT_EQ(names.front(), "read");
   EXPECT_EQ(names[1], "fifo");
@@ -146,7 +156,8 @@ TEST(DefaultRegistryTest, NamesPreserveRegistrationOrder) {
   EXPECT_EQ(names[10], "sltf-naive");
   EXPECT_EQ(names[11], "ltsp-exact");
   EXPECT_EQ(names[12], "loss-mt");
-  EXPECT_EQ(names.back(), "loss-mt-oropt");
+  EXPECT_EQ(names[13], "loss-mt-oropt");
+  EXPECT_EQ(names.back(), "opt-small");
 }
 
 // ---------------------------------------------------------------------------

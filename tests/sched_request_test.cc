@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +51,19 @@ TEST(RequestTest, EmptyPermutation) {
   Schedule s;
   EXPECT_TRUE(IsPermutationOfRequests(s, {}));
   EXPECT_FALSE(IsPermutationOfRequests(s, {{1, 1}}));
+}
+
+TEST(OldestFirstMatcherTest, IdenticalRequestsMatchInSubmissionOrder) {
+  // Same segment with different counts are different requests.
+  const std::vector<Request> submitted = {
+      {500, 1}, {20, 1}, {500, 1}, {500, 4}, {20, 1}, {500, 1}};
+  OldestFirstMatcher matcher(submitted);
+  EXPECT_EQ(matcher.Take({500, 1}), 0u);
+  EXPECT_EQ(matcher.Take({500, 4}), 3u);
+  EXPECT_EQ(matcher.Take({20, 1}), 1u);
+  EXPECT_EQ(matcher.Take({500, 1}), 2u);
+  EXPECT_EQ(matcher.Take({500, 1}), 5u);
+  EXPECT_EQ(matcher.Take({20, 1}), 4u);
 }
 
 }  // namespace

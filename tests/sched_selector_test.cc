@@ -1,4 +1,9 @@
-#include "serpentine/sched/selector.h"
+// The paper's algorithm-selection rule (§5/§8: "OPT is recommended for
+// scheduling up to 10 locates. Then, use the LOSS algorithm for up to 1536
+// uniformly randomly distributed requests. For more than 1536 requests just
+// read the entire tape"), as the default registry's "opt-small" entry. Its
+// READ part is the registry's one-pass bound, which every entry shares.
+#include "serpentine/sched/registry.h"
 
 #include <gtest/gtest.h>
 
@@ -23,70 +28,87 @@ class SelectorTest : public ::testing::Test {
     return out;
   }
 
+  StatusOr<Schedule> Build(const std::vector<Request>& requests,
+                           const char* name = "opt-small") {
+    return Registry::Default().Build(model_, 0, requests, name);
+  }
+
   tape::Dlt4000LocateModel model_;
 };
 
 TEST_F(SelectorTest, StaticRuleMatchesPaperGuidance) {
-  EXPECT_EQ(RecommendedAlgorithm(1), Algorithm::kOpt);
-  EXPECT_EQ(RecommendedAlgorithm(10), Algorithm::kOpt);
-  EXPECT_EQ(RecommendedAlgorithm(11), Algorithm::kLoss);
-  EXPECT_EQ(RecommendedAlgorithm(1536), Algorithm::kLoss);
-  EXPECT_EQ(RecommendedAlgorithm(1537), Algorithm::kRead);
-  EXPECT_EQ(RecommendedAlgorithm(20, /*opt_cutoff=*/24), Algorithm::kOpt);
+  // Up to kOptSmallMaxRequests the entry is the opt entry; above, the loss
+  // entry.
+  ASSERT_EQ(kOptSmallMaxRequests, 10);
+  for (int n : {1, 10, 11}) {
+    std::vector<Request> requests = Batch(n, 5 + n);
+    auto chosen = Build(requests);
+    auto expected = Build(requests, n <= 10 ? "opt" : "loss");
+    ASSERT_TRUE(chosen.ok()) << n;
+    ASSERT_TRUE(expected.ok()) << n;
+    EXPECT_EQ(chosen->algorithm, expected->algorithm) << n;
+    EXPECT_EQ(chosen->order, expected->order) << n;
+  }
 }
 
 TEST_F(SelectorTest, TinyBatchUsesOpt) {
-  auto s = BuildBestSchedule(model_, 0, Batch(6, 3));
+  auto s = Build(Batch(6, 3));
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s->algorithm, Algorithm::kOpt);
+  auto opt = Build(Batch(6, 3), "opt");
+  ASSERT_TRUE(opt.ok());
+  EXPECT_EQ(s->order, opt->order);
 }
 
 TEST_F(SelectorTest, MediumBatchUsesHeuristic) {
-  auto s = BuildBestSchedule(model_, 0, Batch(100, 3));
+  auto s = Build(Batch(100, 3));
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s->algorithm, Algorithm::kLoss);
   EXPECT_FALSE(s->full_tape_scan);
+  auto loss = Build(Batch(100, 3), "loss");
+  ASSERT_TRUE(loss.ok());
+  EXPECT_EQ(s->order, loss->order);
 }
 
 TEST_F(SelectorTest, DenseBatchDowngradesToFullRead) {
-  auto s = BuildBestSchedule(model_, 0, Batch(3000, 3));
+  // Past the crossover the build costs no more than reading the tape.
+  auto s = Build(Batch(3000, 3));
   ASSERT_TRUE(s.ok());
-  EXPECT_EQ(s->algorithm, Algorithm::kRead);
-  EXPECT_TRUE(s->full_tape_scan);
+  EXPECT_LE(EstimateScheduleSeconds(model_, *s), ReadBoundSeconds(model_, 0));
 }
 
 TEST_F(SelectorTest, CrossoverDependsOnDistributionNotJustSize) {
   // 3000 distinct requests packed into a narrow band: a schedule is far
-  // faster than a full pass, so the estimate-based selector keeps the
-  // heuristic where a fixed N>1536 rule would wrongly choose READ.
-  // (Distinct positions matter: duplicate segments force ~24 s backward
-  // repositioning per re-read, which would dominate the estimate.)
+  // faster than a full pass, where a fixed N>1536 rule would wrongly
+  // choose READ. (Distinct positions matter: duplicate segments force
+  // ~24 s backward repositioning per re-read, which would dominate the
+  // estimate.)
   std::vector<Request> clustered;
   for (int i = 0; i < 3000; ++i)
     clustered.push_back(Request{100000 + 12 * i, 1});
-  SelectorOptions options;
-  options.scheduler_options.loss_coalesce_threshold =
-      kDefaultCoalesceThreshold;  // keep the dense batch cheap to schedule
-  auto s = BuildBestSchedule(model_, 0, clustered, options);
+  auto s = Build(clustered);
   ASSERT_TRUE(s.ok());
   EXPECT_FALSE(s->full_tape_scan);
   EXPECT_LT(EstimateScheduleSeconds(model_, *s), 2000.0);
 }
 
 TEST_F(SelectorTest, ComparisonCanBeDisabled) {
-  SelectorOptions options;
-  options.compare_with_full_read = false;
-  options.scheduler_options.loss_coalesce_threshold =
-      kDefaultCoalesceThreshold;
-  auto s = BuildBestSchedule(model_, 0, Batch(3000, 3), options);
+  // The READ bound never turns a build into a full-tape scan: a dense
+  // batch comes back as a LOSS-labelled order (at worst the ascending
+  // pass). Only the read entry scans the whole tape.
+  std::vector<Request> requests = Batch(3000, 3);
+  auto s = Build(requests);
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s->algorithm, Algorithm::kLoss);
+  EXPECT_FALSE(s->full_tape_scan);
+  auto read = Build(requests, "read");
+  ASSERT_TRUE(read.ok());
+  EXPECT_TRUE(read->full_tape_scan);
 }
 
 TEST_F(SelectorTest, AlternativeHeuristic) {
-  SelectorOptions options;
-  options.heuristic = Algorithm::kScan;
-  auto s = BuildBestSchedule(model_, 0, Batch(64, 5), options);
+  // Another heuristic is another registry entry.
+  auto s = Build(Batch(64, 5), "scan");
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s->algorithm, Algorithm::kScan);
 }
@@ -94,10 +116,7 @@ TEST_F(SelectorTest, AlternativeHeuristic) {
 TEST_F(SelectorTest, SelectedScheduleNeverWorseThanBothEndpoints) {
   for (int n : {4, 40, 400, 2500}) {
     std::vector<Request> requests = Batch(n, 11 + n);
-    SelectorOptions options;
-    options.scheduler_options.loss_coalesce_threshold =
-        kDefaultCoalesceThreshold;
-    auto best = BuildBestSchedule(model_, 0, requests, options);
+    auto best = Build(requests);
     ASSERT_TRUE(best.ok());
     auto read = BuildSchedule(model_, 0, requests, Algorithm::kRead);
     ASSERT_TRUE(read.ok());

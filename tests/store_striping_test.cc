@@ -1,5 +1,7 @@
 #include "serpentine/store/striped_volume.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "serpentine/util/lrand48.h"
@@ -41,7 +43,7 @@ TEST(StripedVolumeTest, BatchSplitsEvenly) {
   std::vector<SegmentId> batch;
   for (int i = 0; i < 400; ++i)
     batch.push_back(rng.NextBounded(v.logical_segments()));
-  auto result = v.ExecuteBatch(batch, sched::Algorithm::kLoss);
+  auto result = v.ExecuteBatch(batch, "loss");
   ASSERT_TRUE(result.ok());
   int total = 0;
   for (int d = 0; d < 4; ++d) {
@@ -58,7 +60,7 @@ TEST(StripedVolumeTest, MakespanIsTheBusiestDrive) {
   std::vector<SegmentId> batch;
   for (int i = 0; i < 90; ++i)
     batch.push_back(rng.NextBounded(v.logical_segments()));
-  auto result = v.ExecuteBatch(batch, sched::Algorithm::kLoss);
+  auto result = v.ExecuteBatch(batch, "loss");
   ASSERT_TRUE(result.ok());
   double max_drive = 0.0, sum = 0.0;
   for (double s : result->drive_seconds) {
@@ -80,8 +82,8 @@ TEST(StripedVolumeTest, StripingSpeedsUpBatches) {
   std::vector<SegmentId> batch;
   for (int i = 0; i < 256; ++i)
     batch.push_back(rng.NextBounded(one.logical_segments()));
-  auto r1 = one.ExecuteBatch(batch, sched::Algorithm::kLoss);
-  auto r4 = four.ExecuteBatch(batch, sched::Algorithm::kLoss);
+  auto r1 = one.ExecuteBatch(batch, "loss");
+  auto r4 = four.ExecuteBatch(batch, "loss");
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r4.ok());
   double speedup = r1->makespan_seconds / r4->makespan_seconds;
@@ -96,26 +98,37 @@ TEST(StripedVolumeTest, HeadPositionsCarryAcrossBatches) {
   for (int i = 0; i < 20; ++i)
     batch.push_back(rng.NextBounded(v.logical_segments()));
   std::vector<SegmentId> head;
-  auto r1 = v.ExecuteBatch(batch, sched::Algorithm::kLoss, {}, &head);
+  auto r1 = v.ExecuteBatch(batch, "loss", &head);
   ASSERT_TRUE(r1.ok());
   ASSERT_EQ(head.size(), 2u);
   EXPECT_TRUE(head[0] != 0 || head[1] != 0);
   // Re-running from the returned positions is accepted and differs from a
   // BOT start.
-  auto r2 = v.ExecuteBatch(batch, sched::Algorithm::kLoss, {}, &head);
+  auto r2 = v.ExecuteBatch(batch, "loss", &head);
   ASSERT_TRUE(r2.ok());
 }
 
 TEST(StripedVolumeTest, RejectsBadHeadVector) {
   StripedVolume v = MakeVolume(3);
   std::vector<SegmentId> head = {0, 0};  // wrong arity
-  auto r = v.ExecuteBatch({1, 2, 3}, sched::Algorithm::kSort, {}, &head);
+  auto r = v.ExecuteBatch({1, 2, 3}, "sort", &head);
   EXPECT_FALSE(r.ok());
+}
+
+TEST(StripedVolumeTest, UnknownSchedulerIsInvalidArgument) {
+  StripedVolume v = MakeVolume(2);
+  auto r = v.ExecuteBatch({1, 2, 3}, "bogus");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // The error lists the registered names.
+  std::string message = r.status().ToString();
+  EXPECT_NE(message.find("bogus"), std::string::npos);
+  EXPECT_NE(message.find("opt-small"), std::string::npos);
 }
 
 TEST(StripedVolumeTest, EmptyBatchIsFreeAndDrivesIdle) {
   StripedVolume v = MakeVolume(2);
-  auto r = v.ExecuteBatch({}, sched::Algorithm::kLoss);
+  auto r = v.ExecuteBatch({}, "loss");
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->makespan_seconds, 0.0);
   EXPECT_EQ(r->drive_requests[0] + r->drive_requests[1], 0);

@@ -1,9 +1,12 @@
 #include "serpentine/store/store.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "serpentine/drive/model_drive.h"
 #include "serpentine/sched/estimator.h"
+#include "serpentine/sched/registry.h"
 #include "serpentine/sim/recovering_executor.h"
 #include "serpentine/store/segment_cache.h"
 #include "serpentine/store/tape_library.h"
@@ -378,9 +381,9 @@ TEST(TertiaryStoreTest, MountsBusiestTapeFirst) {
 }
 
 TEST(TertiaryStoreTest, SmallBatchesUseOpt) {
-  StoreOptions options;
-  options.opt_cutoff = 10;
-  TertiaryStore store = MakeStore(options, 1);
+  // The default scheduler, opt-small, hands batches of up to 10 to OPT.
+  TertiaryStore store = MakeStore({}, 1);
+  EXPECT_EQ(store.options().scheduler, "opt-small");
   Lrand48 rng(9);
   SegmentId total =
       store.library().model(0).geometry().total_segments();
@@ -416,9 +419,10 @@ TEST(TertiaryStoreTest, FlushChargesTheScheduleEstimate) {
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->completed.size(), reads.size());
 
-  // The store's schedule: OPT for a batch this small, from BOT.
-  auto schedule = sched::BuildSchedule(model, 0, reads, sched::Algorithm::kOpt,
-                                       options.scheduler_options);
+  // The store's schedule: opt-small (OPT for a batch this small), from
+  // BOT.
+  auto schedule = sched::Registry::Default().Build(model, 0, reads,
+                                                   options.scheduler);
   ASSERT_TRUE(schedule.ok());
   EXPECT_DOUBLE_EQ(store.library().busy_seconds() - busy,
                    sched::EstimateScheduleSeconds(model, *schedule));
@@ -438,12 +442,12 @@ TEST(TertiaryStoreTest, FlushChargesTheScheduleEstimate) {
 }
 
 TEST(TertiaryStoreTest, DuplicateSubmissionsCompleteOldestFirst) {
-  // FIFO order X, Y, X: the first X completes before Y, and the second X
-  // is read again after Y. The oldest X submission gets the earliest
-  // stamp, as the serving core matches duplicates.
+  // Submissions X, Y, X. The FIFO order is bounded by the ascending pass,
+  // which reads X once and delivers the second X from it at the same
+  // stamp. The oldest X submission takes the first X completion, as the
+  // serving core matches duplicates, so its record comes first.
   StoreOptions options;
-  options.algorithm = sched::Algorithm::kFifo;
-  options.opt_cutoff = 0;
+  options.scheduler = "fifo";
   options.cache_segments = 0;
   TertiaryStore store = MakeStore(options, 1);
   auto oldest = store.SubmitRead(0, 200000);
@@ -454,24 +458,27 @@ TEST(TertiaryStoreTest, DuplicateSubmissionsCompleteOldestFirst) {
   auto report = store.Flush();
   ASSERT_TRUE(report.ok());
   ASSERT_EQ(report->completed.size(), 3u);
-  double oldest_done = -1.0;
-  double newest_done = -1.0;
-  for (const CompletedRead& c : report->completed) {
-    if (c.id == *oldest) oldest_done = c.complete_seconds;
-    if (c.id == *newest) newest_done = c.complete_seconds;
+  size_t oldest_at = 3;
+  size_t newest_at = 3;
+  for (size_t i = 0; i < report->completed.size(); ++i) {
+    if (report->completed[i].id == *oldest) oldest_at = i;
+    if (report->completed[i].id == *newest) newest_at = i;
   }
-  EXPECT_EQ(oldest_done, report->completed[0].complete_seconds);
-  EXPECT_LT(oldest_done, newest_done);
+  ASSERT_LT(oldest_at, 3u);
+  ASSERT_LT(newest_at, 3u);
+  EXPECT_LT(oldest_at, newest_at);
+  EXPECT_LE(report->completed[oldest_at].complete_seconds,
+            report->completed[newest_at].complete_seconds);
 }
 
 TEST(TertiaryStoreTest, FullReadTestCountsTheLocateHome) {
   // With the head parked far from BOT, a FIFO batch whose estimate lies
-  // above a bare full pass but within the locate home plus that pass is
-  // cheaper to run than the full read the flush would charge: it must
-  // stay scheduled.
+  // above a bare full pass but within the locate home plus that pass. The
+  // registry bounds the build by one ascending pass instead of switching
+  // to a full read, so the flush scans nothing and charges no more than
+  // the READ bound from the head.
   StoreOptions options;
-  options.algorithm = sched::Algorithm::kFifo;
-  options.opt_cutoff = 0;
+  options.scheduler = "fifo";
   options.cache_segments = 0;
   TertiaryStore store = MakeStore(options, 1);
   const tape::LocateModel& model = store.library().model(0);
@@ -502,11 +509,64 @@ TEST(TertiaryStoreTest, FullReadTestCountsTheLocateHome) {
   for (const sched::Request& r : reads) {
     ASSERT_TRUE(store.SubmitRead(0, r.segment).ok());
   }
+  auto schedule =
+      sched::Registry::Default().Build(model, head, reads, options.scheduler);
+  ASSERT_TRUE(schedule.ok());
   const double busy = store.library().busy_seconds();
   auto report = store.Flush();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->full_scans, 0);
-  EXPECT_DOUBLE_EQ(store.library().busy_seconds() - busy, estimate);
+  const double charged = store.library().busy_seconds() - busy;
+  EXPECT_DOUBLE_EQ(charged, sched::EstimateScheduleSeconds(model, *schedule));
+  EXPECT_LE(charged, bound);
+}
+
+TEST(TertiaryStoreTest, OptSmallFlushesChargeTheRegistryEstimate) {
+  // Batches of 10 (OPT) and 11 (LOSS) reads each charge exactly what the
+  // opt-small registry build prices from the head the flush starts at.
+  StoreOptions options;
+  options.cache_segments = 0;
+  TertiaryStore store = MakeStore(options, 1);
+  ASSERT_TRUE(store.library().Mount(0).ok());  // the flushes mount nothing
+  const tape::LocateModel& model = store.library().model(0);
+  Lrand48 rng(23);
+  const SegmentId total = model.geometry().total_segments();
+  for (int n : {10, 11}) {
+    std::vector<sched::Request> reads;
+    for (int i = 0; i < n; ++i) {
+      reads.push_back({rng.NextBounded(total), 1});
+      ASSERT_TRUE(store.SubmitRead(0, reads.back().segment).ok());
+    }
+    auto schedule = sched::Registry::Default().Build(
+        model, store.library().head_position(), reads, "opt-small");
+    ASSERT_TRUE(schedule.ok());
+    EXPECT_EQ(schedule->algorithm,
+              n <= 10 ? sched::Algorithm::kOpt : sched::Algorithm::kLoss);
+    const double busy = store.library().busy_seconds();
+    auto report = store.Flush();
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->completed.size(), static_cast<size_t>(n));
+    EXPECT_EQ(store.library().busy_seconds() - busy,
+              sched::EstimateScheduleSeconds(model, *schedule))
+        << n;
+  }
+}
+
+TEST(TertiaryStoreTest, UnknownSchedulerIsInvalidArgument) {
+  StoreOptions options;
+  options.scheduler = "bogus";
+  TertiaryStore store = MakeStore(options, 1);
+  ASSERT_TRUE(store.SubmitRead(0, 1234).ok());
+  auto report = store.Flush();
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  // The error lists the registered names.
+  std::string message = report.status().ToString();
+  EXPECT_NE(message.find("bogus"), std::string::npos);
+  EXPECT_NE(message.find("opt-small"), std::string::npos);
+  // Nothing was mounted or dropped.
+  EXPECT_EQ(store.pending(), 1u);
+  EXPECT_EQ(store.library().total_mounts(), 0);
 }
 
 TEST(TertiaryStoreTest, BatchingImprovesPerRequestService) {
@@ -547,27 +607,41 @@ void UniformSubmit(TertiaryStore& store, int n = 2000) {
 }
 
 TEST(TertiaryStoreTest, HugeBatchFallsBackToFullScan) {
+  // Past the crossover the registry's READ bound holds the flush to what
+  // reading the whole tape from the head would take.
   StoreOptions options;
   options.cache_segments = 0;
-  options.auto_full_read = true;
   TertiaryStore store = MakeStore(options, 1);
+  ASSERT_TRUE(store.library().Mount(0).ok());  // the flush mounts nothing
+  const double bound = sched::ReadBoundSeconds(
+      store.library().model(0), store.library().head_position());
   UniformSubmit(store);
+  const double busy = store.library().busy_seconds();
   auto report = store.Flush();
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->full_scans, 1);
+  EXPECT_LE(store.library().busy_seconds() - busy, bound);
   // All requests complete within one ~4 h pass.
   EXPECT_LT(report->max_response_seconds, 16000.0);
 }
 
 TEST(TertiaryStoreTest, FullScanDisabledKeepsScheduling) {
+  // Only the read entry scans the whole tape: the default scheduler keeps
+  // a huge batch scheduled, and full_scans counts the read entry's scans.
   StoreOptions options;
   options.cache_segments = 0;
-  options.auto_full_read = false;
   TertiaryStore store = MakeStore(options, 1);
   UniformSubmit(store);
   auto report = store.Flush();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->full_scans, 0);
+
+  options.scheduler = "read";
+  TertiaryStore reader = MakeStore(options, 1);
+  UniformSubmit(reader);
+  auto scanned = reader.Flush();
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(scanned->full_scans, 1);
+  EXPECT_EQ(scanned->completed.size(), 2000u);
 }
 
 // ---------------------------------------------------------------------------

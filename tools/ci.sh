@@ -184,6 +184,14 @@ for config in $CONFIGS; do
     fi
     echo "== placement smoke: OK =="
 
+    # Store smokes: the two benches that build through the store layer
+    # (TertiaryStore flushes, StripedVolume batches) at smoke scale. Both
+    # abort or exit nonzero on a store error.
+    echo "== store smoke: store_throughput, striping ($build_dir) =="
+    SERPENTINE_SCALE=smoke "$build_dir/bench/store_throughput" > /dev/null
+    SERPENTINE_SCALE=smoke "$build_dir/bench/striping" > /dev/null
+    echo "== store smoke: OK =="
+
     # Determinism gate: every modeled value of the repo benchmark must be
     # identical across 1 and 2 scheduler threads and with tracing on
     # (builds perfbench in Release under .bench_build/).
